@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRepresentationError,
+    InternalCheckError,
     NotIncomparableError,
     OddDegreeError,
     SylvesterRejectionError,
@@ -33,6 +34,7 @@ from .quadforms import (
     CONE_NONE,
     CONE_POS,
     Inertia,
+    _primitive_vector,
     catalecticant,
     charpoly_general,
     det_poly_matrix,
@@ -48,6 +50,7 @@ from .realroots import (
     scalar_cmp,
     scalar_sign,
     simplest_between,
+    sturm_count,
 )
 
 # Stable rule identifiers attached to report conclusions (documented in README).
@@ -184,11 +187,12 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
         )
     finite: List[Scalar] = []
     if ell.degree > 0:
-        if ell.gcd(ell.derivative()).degree > 0:
+        chain = ell.sturm_chain()
+        if chain[-1].degree > 0:
             raise SylvesterRejectionError(
                 SylvesterRejectionError.NOT_SQUAREFREE, "repeated factor"
             )
-        if ell.count_real_roots() < ell.degree:
+        if sturm_count(chain) < ell.degree:
             raise SylvesterRejectionError(
                 SylvesterRejectionError.COMPLEX_ROOTS, "not all roots are real"
             )
@@ -200,8 +204,6 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
 
 
 def _primitive(vec) -> List[Fraction]:
-    from .quadforms import _primitive_vector
-
     return list(_primitive_vector([Fraction(v) for v in vec]))
 
 
@@ -301,8 +303,8 @@ def solve_coefficients(
     terms.sort(key=_term_sort_key)
     rep = PowerSumRep(d, tuple(terms))
     cert = CERT_INTERVALS if alg_present else CERT_EXACT
-    if cert == CERT_EXACT:
-        assert expand_exact(rep).coeffs == p.coeffs, "exact solve must re-expand"
+    if cert == CERT_EXACT and expand_exact(rep).coeffs != p.coeffs:
+        raise InternalCheckError("exact solve must re-expand to p")
     return DecompResult(rep, rep.badge(), cert, sylv)
 
 
@@ -468,34 +470,18 @@ def decide_pencil(
 
 
 def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
-    """Resultant in t of two polynomials whose t-coefficients live in Q[u]."""
+    """Resultant in t of two polynomials whose t-coefficients live in Q[u]:
+    the determinant of their Sylvester matrix, f's rows first."""
     n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return UniPoly()
-    if n == 0:
-        return _upoly_pow(f[0], m)
-    if m == 0:
-        return _upoly_pow(g[0], n)
-    size = n + m
-    rows = []
-    fd = list(reversed(f))  # descending
-    gd = list(reversed(g))
-    for i in range(m):
-        rows.append(
-            [UniPoly()] * i + fd + [UniPoly()] * (size - i - len(fd))
-        )
-    for i in range(n):
-        rows.append(
-            [UniPoly()] * i + gd + [UniPoly()] * (size - i - len(gd))
-        )
+    zero = UniPoly()
+    rows = [
+        [zero] * i + list(reversed(coeffs)) + [zero] * (count - 1 - i)
+        for coeffs, count in ((f, m), (g, n))
+        for i in range(count)
+    ]
     return det_poly_matrix(rows)
-
-
-def _upoly_pow(p: UniPoly, k: int) -> UniPoly:
-    out = UniPoly([1])
-    for _ in range(k):
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +872,8 @@ def _sorted_signatures(badges, status):
 def _check_possible(badges, s):
     allowed = possible_signatures(s)
     for b in badges:
-        assert b in allowed, f"signature {b} outside the admissible set"
+        if b not in allowed:
+            raise InternalCheckError(f"signature {b} outside the admissible set")
 
 
 def signature_report(
@@ -1004,7 +991,8 @@ def signature_report(
         )
     if d == 6 and length.conclusive and length.upper == 5:
         badge = length.witness.badge
-        assert badge in (Badge(2, 3), Badge(3, 2)), "admissible 5-term sextic badge"
+        if badge not in (Badge(2, 3), Badge(3, 2)):
+            raise InternalCheckError(f"5-term sextic badge {badge} is not admissible")
         if mirror(p) == -p:
             return report(
                 {Badge(2, 3), Badge(3, 2)},

@@ -57,6 +57,11 @@ class DegenerateRepresentationError(BinformsError):
     """Representation too small or with zero expansion for a certificate."""
 
 
+class InternalCheckError(BinformsError):
+    """An exact check that a result rests on failed: the engine is at fault,
+    not the input.  Raised instead of asserting so it survives `python -O`."""
+
+
 class SylvesterRejectionError(BinformsError):
     """Candidate coefficient vector is not a valid Sylvester form."""
 

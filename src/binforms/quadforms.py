@@ -1,15 +1,19 @@
-"""Exact symmetric linear algebra: catalecticant and Hankel blocks, inertia
-via rational congruence, fraction-free kernels, psd tests, width.
+"""Exact linear algebra: catalecticant and Hankel blocks, inertia via
+rational congruence, psd tests, width, and one fraction-free (Bareiss)
+elimination shared by kernel bases and determinants over Z and Q[z], which
+give the engine its resultants and characteristic polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
+    InternalCheckError,
     OddDegreeError,
     RankOutOfRangeError,
 )
@@ -162,6 +166,43 @@ def is_psd(m: SymMatrix) -> bool:
     return inertia(m).neg == 0
 
 
+def _bareiss(m: List[list]) -> Tuple[List[int], int]:
+    """Fraction-free forward elimination (Bareiss 1968) of the rows m, in place.
+
+    Entries are integers or UniPolys; every division is exact in either ring,
+    and an inexact one raises InternalCheckError.  Each column takes as pivot
+    its first nonzero entry at or below the current row; a column without
+    one is skipped.  Returns the pivot columns, row i holding the pivot of
+    piv_cols[i] and valid entries from there rightward, and the parity of the
+    row swaps.  The last pivot of a nonsingular square matrix is its
+    determinant times (-1)**parity.
+    """
+    nrows, ncols = len(m), len(m[0])
+    piv_cols: List[int] = []
+    parity = 0
+    prev = 1
+    for pc in range(ncols):
+        pr = len(piv_cols)
+        if pr == nrows:
+            break
+        sel = next((i for i in range(pr, nrows) if m[i][pc]), None)
+        if sel is None:
+            continue
+        if sel != pr:
+            m[pr], m[sel] = m[sel], m[pr]
+            parity ^= 1
+        piv = m[pr][pc]
+        for i in range(pr + 1, nrows):
+            for j in range(pc + 1, ncols):
+                q, rem = divmod(m[i][j] * piv - m[i][pc] * m[pr][j], prev)
+                if rem:
+                    raise InternalCheckError("Bareiss division must be exact")
+                m[i][j] = q
+        prev = piv
+        piv_cols.append(pc)
+    return piv_cols, parity
+
+
 def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
     """Exact right-kernel basis via fraction-free (Bareiss) elimination.
 
@@ -169,46 +210,23 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
     primitive integer vectors with positive leading entry, one per free column.
     """
     if isinstance(rows_or_matrix, HankelMatrix):
-        rows = [list(r) for r in rows_or_matrix.rows]
+        rows = rows_or_matrix.rows
     elif isinstance(rows_or_matrix, SymMatrix):
-        rows = [list(r) for r in rows_or_matrix.entries]
+        rows = rows_or_matrix.entries
     else:
-        rows = [list(r) for r in rows_or_matrix]
+        rows = rows_or_matrix
     if not rows:
         return []
     ncols = len(rows[0])
     # clear denominators rowwise so Bareiss divisions stay integral
     m = []
     for row in rows:
-        den = 1
-        for v in row:
-            v = Fraction(v)
-            den = den * v.denominator // _gcd(den, v.denominator)
-        m.append([int(Fraction(v) * den) for v in row])
-    nrows = len(m)
-    piv_cols: List[int] = []
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        sel = next((i for i in range(pr, nrows) if m[i][pc] != 0), None)
-        if sel is None:
-            continue
-        m[pr], m[sel] = m[sel], m[pr]
-        for i in range(pr + 1, nrows):
-            for j in range(pc + 1, ncols):
-                num = m[i][j] * m[pr][pc] - m[i][pc] * m[pr][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
-                m[i][j] = q
-            m[i][pc] = 0
-        prev = m[pr][pc]
-        piv_cols.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        m.append([int(v * den) for v in row])
+    piv_cols, _ = _bareiss(m)
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in piv_cols):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i in reversed(range(len(piv_cols))):
@@ -222,20 +240,10 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
     return basis
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _primitive_vector(vec) -> Tuple[Fraction, ...]:
-    den = 1
-    for v in vec:
-        den = den * v.denominator // _gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in vec))
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(v) for v in ints)
     lead = next((v for v in ints if v != 0), 1)
@@ -245,61 +253,34 @@ def _primitive_vector(vec) -> Tuple[Fraction, ...]:
 
 
 def det_poly_matrix(entries: Sequence[Sequence[UniPoly]]) -> UniPoly:
-    """Determinant of a small matrix with univariate polynomial entries.
+    """Determinant of a square matrix with univariate polynomial entries.
 
-    Subset dynamic programming over columns; exact, no division needed.
+    Bareiss elimination over Q[z]: O(n^3) exact polynomial operations.
     """
-    n = len(entries)
+    m = [list(row) for row in entries]
+    n = len(m)
     if n == 0:
         return UniPoly([1])
-    dp = {0: UniPoly([1])}
-    for i in range(n):
-        ndp = {}
-        for mask, val in dp.items():
-            if val.is_zero:
-                continue
-            sign_flips = 0
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    sign_flips += 1
-                    continue
-                e = entries[i][j]
-                if e.is_zero:
-                    continue
-                term = val * e
-                if sign_flips % 2:
-                    term = -term
-                key = mask | bit
-                ndp[key] = ndp.get(key, UniPoly()) + term
-        dp = ndp
-    return dp.get((1 << n) - 1, UniPoly())
+    piv_cols, parity = _bareiss(m)
+    if len(piv_cols) < n:
+        return UniPoly()
+    return -m[-1][-1] if parity else m[-1][-1]
 
 
 def charpoly(m: SymMatrix) -> UniPoly:
     """Characteristic polynomial det(z*I - M), monic, exact."""
-    n = m.n
-    entries = [
-        [
-            UniPoly([-m[i, j], 1]) if i == j else UniPoly([-m[i, j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return det_poly_matrix(entries)
+    return charpoly_general(m.entries)
 
 
 def charpoly_general(rows: Sequence[Sequence[Fraction]]) -> UniPoly:
     """det(z*I - A) for a general square rational matrix."""
     n = len(rows)
-    entries = [
+    return det_poly_matrix(
         [
-            UniPoly([-Fraction(rows[i][j]), 1]) if i == j else UniPoly([-Fraction(rows[i][j])])
-            for j in range(n)
+            [UniPoly([-rows[i][j], 1] if i == j else [-rows[i][j]]) for j in range(n)]
+            for i in range(n)
         ]
-        for i in range(n)
-    ]
-    return det_poly_matrix(entries)
+    )
 
 
 def inertia_from_charpoly(m: SymMatrix) -> Inertia:

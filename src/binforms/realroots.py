@@ -54,6 +54,9 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
@@ -120,8 +123,10 @@ class UniPoly:
             acc = acc * iv + RatInterval.point(c)
         return acc
 
-    def divmod(self, other: "UniPoly"):
-        """Exact rational division with remainder."""
+    def divmod(self, other):
+        """Exact rational division with remainder (by a polynomial or a scalar)."""
+        if not isinstance(other, UniPoly):
+            other = UniPoly([other])
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
         q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
@@ -140,6 +145,8 @@ class UniPoly:
                 r[k + i] -= f * c
             r.pop()
         return UniPoly(q), UniPoly(r)
+
+    __divmod__ = divmod
 
     def rem(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -221,8 +228,13 @@ class UniPoly:
         return UniPoly(list(reversed(self.coeffs)))
 
     def sturm_chain(self):
-        """Sturm chain of the squarefree part, content-stripped each step."""
-        f = self.squarefree_part()
+        """Sturm chain of f, f', ..., content-stripped each step.
+
+        The last entry is gcd(f, f') up to a constant, so f is squarefree iff
+        that entry is a constant.  Either way the chain counts the distinct
+        real roots.
+        """
+        f = self.primitive_int()
         chain = [f, f.derivative().primitive_int()]
         while not chain[-1].is_zero and chain[-1].degree > 0:
             r = chain[-2].rem(chain[-1])
@@ -237,6 +249,8 @@ class UniPoly:
         """Distinct real roots on the whole line or the closed interval [lo, hi]."""
         if self.is_zero:
             raise ZeroPolynomialError("root counting needs a nonzero polynomial")
+        if lo is None and hi is None:
+            return sturm_count(self.sturm_chain())
         f = self.squarefree_part()
         if f.degree <= 0:
             return 0
@@ -266,6 +280,11 @@ def _variations(chain, point: Optional[Fraction], at_plus_infinity: bool) -> int
         if s != 0:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def sturm_count(chain) -> int:
+    """Distinct real roots of chain[0] read off its Sturm chain: V(-oo) - V(+oo)."""
+    return _variations(chain, None, False) - _variations(chain, None, True)
 
 
 def sign_variations(values) -> int:

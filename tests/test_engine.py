@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+
+import binforms.engine as engine
 
 from binforms import (
     Badge,
@@ -44,7 +47,7 @@ from binforms.engine import (
     splits_over_reals,
     is_power_of_linear,
 )
-from binforms.errors import SylvesterRejectionError
+from binforms.errors import InternalCheckError, SylvesterRejectionError
 from binforms.families import (
     circle_conic_quartic,
     circle_power,
@@ -99,6 +102,11 @@ class TestValidate:
         with pytest.raises(SylvesterRejectionError) as err:
             validate_sylvester([0, 0, 1], 2)  # y^2
         assert err.value.reason == SylvesterRejectionError.REPEATED_INFINITY
+
+    def test_not_squarefree_reported_before_complex_roots(self):
+        with pytest.raises(SylvesterRejectionError) as err:
+            validate_sylvester([1, 0, 2, 0, 1], 4)  # (x^2 + y^2)^2
+        assert err.value.reason == SylvesterRejectionError.NOT_SQUAREFREE
 
     def test_quintic_product(self):
         u, v = F(5, 3), F(5, 11)
@@ -383,6 +391,32 @@ class TestSignatureReport:
             rep = signature_report(sextic_xy_family(lam), FAST)
             allowed = possible_signatures(3)
             assert all(b in allowed for b in rep.signature_set())
+
+
+class TestProofChecksRaise:
+    """The exact checks behind exact and proven results raise an error, so
+    they still run under python -O."""
+
+    def test_exact_solve_reexpansion(self, monkeypatch):
+        monkeypatch.setattr(engine, "expand_exact", lambda rep: parse_form("x^4"))
+        with pytest.raises(InternalCheckError):
+            solve_coefficients(parse_form("x^4 + y^4"), validate_sylvester([0, 1, 0], 2))
+
+    def test_proven_signatures_admissible(self, monkeypatch):
+        monkeypatch.setattr(engine, "possible_signatures", lambda s: frozenset())
+        with pytest.raises(InternalCheckError):
+            signature_report(parse_form("x^4 + y^4"), FAST)
+
+    def test_five_term_sextic_badge(self, monkeypatch):
+        exact_length = engine.real_length
+
+        def wrong_badge(p, config):
+            res = exact_length(p, config)
+            return replace(res, witness=replace(res.witness, badge=Badge(4, 1)))
+
+        monkeypatch.setattr(engine, "real_length", wrong_badge)
+        with pytest.raises(InternalCheckError):
+            signature_report(parse_form("6*x^5*y + 6*x*y^5"), FAST)
 
 
 class TestMirrorInterplay:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from binforms import (
     DimensionMismatchError,
@@ -19,7 +21,21 @@ from binforms import (
     substitute,
     width,
 )
-from binforms.quadforms import inertia_from_charpoly, square_linear_combo
+from binforms.engine import _resultant_t
+from binforms.quadforms import (
+    charpoly,
+    charpoly_general,
+    det_poly_matrix,
+    inertia_from_charpoly,
+    square_linear_combo,
+)
+from binforms.realroots import UniPoly
+
+Z = sympy.Symbol("z")
+
+
+def to_sympy(f: UniPoly, var=Z):
+    return sum(sympy.Rational(c) * var**i for i, c in enumerate(f.coeffs))
 
 
 def random_symmetric(rng, n, bound=6):
@@ -184,6 +200,60 @@ class TestKernel:
             # rank-nullity
             rank = ncols - len(basis)
             assert 0 <= rank <= min(len(rows), ncols)
+
+
+class TestDeterminant:
+    def test_antidiagonal_permutations(self):
+        for n in (2, 3):
+            m = [[UniPoly([int(i + j == n - 1)]) for j in range(n)] for i in range(n)]
+            assert det_poly_matrix(m) == UniPoly([-1])
+
+    def test_charpolys_are_monic(self):
+        rng = random.Random(53)
+        for n in range(1, 7):
+            m = random_symmetric(rng, n)
+            for chi in (charpoly(m), charpoly_general(m.entries)):
+                assert chi.degree == n and chi.leading == 1
+
+    def test_against_sympy(self):
+        rng = random.Random(59)
+        for trial in range(48):
+            n = rng.randint(1, 6)
+            m = [
+                [UniPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]) for _ in range(n)]
+                for _ in range(n)
+            ]
+            kind = trial % 3
+            if kind == 1 and n >= 2:  # singular: last row a polynomial multiple of the first
+                mult = UniPoly([rng.randint(-2, 2), 1])
+                m[-1] = [e * mult for e in m[0]]
+            elif kind == 2 and n >= 2:  # zero leading entry forces a row swap
+                m[0][0] = UniPoly()
+                m[-1][0] = UniPoly([1, 1])
+            dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, lambda i, j: to_sympy(m[i][j])))
+            want = dm.domain.to_sympy(dm.det())
+            got = det_poly_matrix(m)
+            assert sympy.Poly(to_sympy(got), Z) == sympy.Poly(want, Z)
+            if kind == 1 and n >= 2:
+                assert got.is_zero
+
+    def test_resultant_matches_sympy(self):
+        u, t = sympy.symbols("u t")
+        pencils = [
+            ([[1, 2], [0, 1], [3, -1]], [[2, 0], [1, 1]]),
+            ([[0, 1], [1, 0], [0, 0], [1, 1]], [[1, 0], [0, 2], [3, 3]]),
+            ([[-1, 1], [0, 0], [2, 1]], [[0, 1], [2, 2]]),
+            ([[2, 1]], [[1, 0], [0, 1], [1, 1]]),  # constant f
+        ]
+        for f, g in pencils:
+            fu = [UniPoly(c) for c in f]
+            gu = [UniPoly(c) for c in g]
+            want = sympy.resultant(
+                sum(to_sympy(c, u) * t**k for k, c in enumerate(fu)),
+                sum(to_sympy(c, u) * t**k for k, c in enumerate(gu)),
+                t,
+            )
+            assert sympy.expand(to_sympy(_resultant_t(fu, gu), u) - want) == 0
 
 
 class TestWidthPsd:

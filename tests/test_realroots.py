@@ -98,6 +98,21 @@ class TestCounting:
         assert count_real_roots(f, F(-1), F(1)) == 3
         assert count_real_roots(f, F(0), F(1)) == 2
 
+    def test_repeated_roots_counted_once(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            f = UniPoly([rng.randint(1, 3)])
+            distinct = set()
+            for _ in range(rng.randint(1, 4)):
+                v = rng.randint(-4, 4)
+                distinct.add(v)
+                for _ in range(rng.randint(1, 3)):
+                    f = f * UniPoly([-v, 1])
+            f = f * UniPoly([rng.randint(1, 5), 0, 1])  # no real roots
+            assert count_real_roots(f) == len(distinct)
+            g = f.gcd(f.derivative())
+            assert f.sturm_chain()[-1].monic() == g
+
     def test_against_sympy(self):
         rng = random.Random(17)
         for _ in range(40):
