@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -34,6 +35,8 @@ from .quadforms import (
     CONE_NONE,
     CONE_POS,
     Inertia,
+    _integer_rows,
+    _primitive_ints,
     _primitive_vector,
     catalecticant,
     charpoly_general,
@@ -251,16 +254,19 @@ def solve_coefficients(
     npoly = UniPoly(n_coeffs)
     ellp = ell.derivative()
 
-    def power_sum(i: int) -> Fraction:
-        """sum_k lambda_k gamma_k^i, exactly, via the trace form."""
-        b = (npoly.shift_up(i)).rem(ell)
+    # power_sums[i] = sum_k lambda_k gamma_k^i, exactly, via the trace form:
+    # the t^(m-1) coefficient of (t^i npoly) rem ell, stepped b <- (t b) rem ell.
+    power_sums = []
+    b = npoly.rem(ell)
+    for _ in range(d + 1):
         coef = b.coeffs[m - 1] if b.degree == m - 1 else Fraction(0)
-        return coef / e[m]
+        power_sums.append(coef / e[m])
+        b = b.shift_up(1).rem(ell)
 
-    lam_inf = (a[0] - power_sum(d)) if has_inf else Fraction(0)
+    lam_inf = (a[0] - power_sums[d]) if has_inf else Fraction(0)
     for j in range(d + 1):
         want = a[j] - (lam_inf if j == 0 and has_inf else Fraction(0))
-        if power_sum(d - j) != want:
+        if power_sums[d - j] != want:
             raise ZeroFormError("candidate is not a Sylvester form for p")
 
     terms: List[Tuple[Scalar, ProjLinearForm]] = []
@@ -300,7 +306,7 @@ def solve_coefficients(
     if has_inf and lam_inf != 0:
         terms.append((lam_inf, ProjLinearForm(Fraction(1), Fraction(0))))
 
-    terms.sort(key=_term_sort_key)
+    terms.sort(key=functools.cmp_to_key(_term_order))
     rep = PowerSumRep(d, tuple(terms))
     cert = CERT_INTERVALS if alg_present else CERT_EXACT
     if cert == CERT_EXACT and expand_exact(rep).coeffs != p.coeffs:
@@ -308,14 +314,23 @@ def solve_coefficients(
     return DecompResult(rep, rep.badge(), cert, sylv)
 
 
-def _term_sort_key(term):
-    lam, form = term
+def _term_order(s, t) -> int:
+    """Rational betas descending, the y-axis last; algebraic betas sit at the
+    place of beta = 0, descending among themselves and around a rational 0."""
+    ks, kt = _term_key(s), _term_key(t)
+    if ks[:2] != kt[:2]:
+        return -1 if ks[:2] < kt[:2] else 1
+    return scalar_cmp(kt[2], ks[2])
+
+
+def _term_key(term):
+    form = term[1]
     if form.is_y_axis:
-        return (1, Fraction(0), 0.0)
+        return (1, Fraction(0), Fraction(0))
     beta = form.beta
     if isinstance(beta, Fraction):
-        return (0, -beta, 0.0)
-    return (0, Fraction(0), -float((beta.lo + beta.hi) / 2))
+        return (0, -beta, Fraction(0))
+    return (0, Fraction(0), beta)
 
 
 def _mod_inverse(a: UniPoly, mod: UniPoly) -> UniPoly:
@@ -381,9 +396,9 @@ def _isolate_value(g: UniPoly, gamma: RealAlgebraic, defining: UniPoly) -> Scala
 
 def fallback_sylvester(d: int) -> SylvesterForm:
     """y * prod_{k=1..d} (k x - y): distinct nodes covering every form."""
-    coeffs = [Fraction(0), Fraction(1)]  # the factor y
+    coeffs = [0, 1]  # the factor y
     for k in range(1, d + 1):
-        coeffs = _conv(coeffs, [Fraction(k), Fraction(-1)])
+        coeffs = _conv(coeffs, [k, -1])
     return validate_sylvester(coeffs, d + 1)
 
 
@@ -394,7 +409,7 @@ def vandermonde_rep(p: BinaryForm, precision_steps: int = 256) -> DecompResult:
 
 
 def _conv(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, va in enumerate(a):
         for j, vb in enumerate(b):
             out[i + j] += va * vb
@@ -503,62 +518,60 @@ def _u_grid(denom_bound: int, mag: int = 6):
 
 def _structured_candidates(p: BinaryForm, r: int, config: SearchConfig):
     """Products of quadratics x^2 + (2+u) x y + y^2 (times one linear factor
-    when r is odd), with the final parameter solved exactly from the kernel."""
+    when r is odd), with the final parameter solved exactly from the kernel.
+
+    Works over the integers: the Hankel rows are cleared of denominators,
+    u = n/q enters as q x^2 + (2q+n) x y + q y^2, and each candidate is an
+    integer vector, correct up to the scale validate_sylvester removes.
+    """
     if r < 2 or r > p.degree:
         return
-    mat = hankel(p, r)
+    rows = _integer_rows(hankel(p, r).rows)
     nquads = r // 2
     if nquads < 1:
         return
-    linears = [None] if r % 2 == 0 else [
-        [Fraction(1), Fraction(1)],
-        [Fraction(1), Fraction(-1)],
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-    ]
-    base = [Fraction(1), Fraction(2), Fraction(1)]
-    mid = [Fraction(0), Fraction(1), Fraction(0)]
+    linears = [[1]] if r % 2 == 0 else [[1, 1], [1, -1], [1, 0], [0, 1]]
     for lin in linears:
         for u in itertools.islice(_u_grid(config.denom_bound), 200):
-            fixed = [Fraction(1)]
-            if lin is not None:
-                fixed = _conv(fixed, lin)
-            quad_u = [Fraction(1), Fraction(2) + u, Fraction(1)]
+            n, q = u.numerator, u.denominator
+            fixed = lin
             for _ in range(nquads - 1):
-                fixed = _conv(fixed, quad_u)
-            va = _conv(fixed, base)
-            vb = _conv(fixed, mid)
-            ra = mat.apply(va)
-            rb = mat.apply(vb)
-            pivot = next((i for i, v in enumerate(rb) if v != 0), None)
-            if pivot is None:
-                if all(v == 0 for v in ra):
-                    for v in (Fraction(0), Fraction(1), Fraction(-3)):
-                        yield [va[i] + v * vb[i] for i in range(len(va))]
+                fixed = _conv(fixed, [q, 2 * q + n, q])
+            va = _conv(fixed, [1, 2, 1])
+            vb = [0, *fixed, 0]
+            ra = [sum(h * v for h, v in zip(row, va)) for row in rows]
+            rb = [sum(h * v for h, v in zip(row, vb)) for row in rows]
+            piv = next((i for i, v in enumerate(rb) if v), None)
+            if piv is None:
+                if not any(ra):
+                    for v in (0, 1, -3):
+                        yield [a + v * b for a, b in zip(va, vb)]
                 continue
-            v = -ra[pivot] / rb[pivot]
-            if all(ra[i] + v * rb[i] == 0 for i in range(len(ra))):
-                yield [va[i] + v * vb[i] for i in range(len(va))]
+            if all(rb[piv] * a == ra[piv] * b for a, b in zip(ra, rb)):
+                yield [rb[piv] * a - ra[piv] * b for a, b in zip(va, vb)]
 
 
 def _combination_candidates(basis, config: SearchConfig, rng: random.Random):
-    """Small integer combinations by height, then seeded random rationals."""
+    """Small integer combinations by height, then seeded random rationals.
+
+    Works over the integers: the basis holds integer vectors (kernel_basis
+    returns them primitive) and rational weights are scaled by their common
+    denominator, so each candidate is the primitive integer vector of the
+    rational combination.
+    """
     dim = len(basis)
-    ncols = len(basis[0])
+    columns = list(zip(*([int(v) for v in vec] for vec in basis)))
     seen = set()
 
     def emit(weights):
-        vec = [
-            sum(Fraction(w) * basis[k][j] for k, w in enumerate(weights))
-            for j in range(ncols)
-        ]
-        if all(v == 0 for v in vec):
+        vec = [sum(w * b for w, b in zip(weights, col)) for col in columns]
+        if not any(vec):
             return None
-        key = tuple(_primitive(vec))
+        key = _primitive_ints(vec)
         if key in seen:
             return None
         seen.add(key)
-        return vec
+        return list(key)
 
     for height in range(1, 4):
         for weights in itertools.product(range(-height, height + 1), repeat=dim):
@@ -572,7 +585,8 @@ def _combination_candidates(basis, config: SearchConfig, rng: random.Random):
             Fraction(rng.randint(-8, 8), rng.randint(1, config.denom_bound))
             for _ in range(dim)
         ]
-        vec = emit(weights)
+        den = lcm(*(w.denominator for w in weights))
+        vec = emit([w.numerator * (den // w.denominator) for w in weights])
         if vec is not None:
             yield vec
 

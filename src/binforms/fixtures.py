@@ -298,18 +298,10 @@ def _conv3(u, v, with_linear):
     quad_v = [F(1), 2 + F(v), F(1)]
     out = [F(1)]
     if with_linear:
-        out = _conv(out, [F(1), F(1)])
-    out = _conv(out, quad_u)
-    out = _conv(out, quad_v)
+        out = engine._conv(out, [F(1), F(1)])
+    out = engine._conv(out, quad_u)
+    out = engine._conv(out, quad_v)
     return out
-
-
-def _conv(a, b):
-    res = [F(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            res[i + j] += x * y
-    return res
 
 
 def _fx_quartic_classification(cfg):
@@ -427,7 +419,7 @@ def _fx_incomparable(cfg):
 def _fx_splitting_products(cfg):
     raw = [F(1)]
     for lin in ([F(1), F(0)], [F(1), F(-1)], [F(1), F(1)], [F(1), F(-2)], [F(1), F(2)], [F(0), F(1)]):
-        raw = _conv(raw, lin)
+        raw = engine._conv(raw, lin)
     prod = BinaryForm.from_raw(6, raw)
     rep = signature_report(prod, cfg)
     return _check(rep.signature_set() == {Badge(3, 3)} and rep.set_complete, prod.text())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     RankOutOfRangeError,
 )
 from .forms import BinaryForm
-from .realroots import UniPoly, sign_variations
+from .realroots import UniPoly, _int_primitive, sign_variations
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,7 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
         return []
     ncols = len(rows[0])
     # clear denominators rowwise so Bareiss divisions stay integral
-    m = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row))
-        m.append([int(v * den) for v in row])
+    m = _integer_rows(rows)
     piv_cols, _ = _bareiss(m)
     basis = []
     for fc in (c for c in range(ncols) if c not in piv_cols):
@@ -240,16 +236,26 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
     return basis
 
 
+def _integer_rows(rows) -> List[List[int]]:
+    """Each rational row times the lcm of its denominators; same kernel."""
+    out = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        out.append([int(v * den) for v in row])
+    return out
+
+
+def _primitive_ints(ints) -> Tuple[int, ...]:
+    """Integer vector over its content, first nonzero entry positive."""
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(_int_primitive(ints))
+
+
 def _primitive_vector(vec) -> Tuple[Fraction, ...]:
     den = lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(v) for v in ints)
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(v, g) for v in ints)
+    return tuple(Fraction(v) for v in _primitive_ints([int(v * den) for v in vec]))
 
 
 def det_poly_matrix(entries: Sequence[Sequence[UniPoly]]) -> UniPoly:

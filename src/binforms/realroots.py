@@ -232,16 +232,13 @@ class UniPoly:
 
         The last entry is gcd(f, f') up to a constant, so f is squarefree iff
         that entry is a constant.  Either way the chain counts the distinct
-        real roots.
+        real roots.  Built as a primitive integer remainder sequence; every
+        entry is the primitive integer form of the rational Sturm remainder.
         """
         f = self.primitive_int()
-        chain = [f, f.derivative().primitive_int()]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            r = chain[-2].rem(chain[-1])
-            if r.is_zero:
-                break
-            chain.append((-r).primitive_int())
-        return [g for g in chain if not g.is_zero]
+        if f.is_zero:
+            return []
+        return [UniPoly(g) for g in _int_sturm_chain([int(c) for c in f.coeffs])]
 
     def count_real_roots(
         self, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None
@@ -287,6 +284,49 @@ def sturm_count(chain) -> int:
     return _variations(chain, None, False) - _variations(chain, None, True)
 
 
+def _int_primitive(cs):
+    """Integer coefficients divided by their (positive) content."""
+    g = int_gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _int_neg_prem(a, b):
+    """-(|lc b|**k * (a rem b)) over Z, where k is the number of reduction steps.
+
+    A positive multiple of minus the rational remainder, so its primitive
+    part is exactly the next entry of the rational Sturm chain.
+    """
+    r = list(a)
+    lb = b[-1]
+    alb = abs(lb)
+    sb = 1 if lb > 0 else -1
+    db = len(b) - 1
+    while len(r) > db:
+        lr = r.pop() * sb
+        k = len(r) - db
+        if alb != 1:
+            r = [alb * c for c in r]
+        for i in range(db):
+            r[k + i] -= lr * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return [-c for c in r]
+
+
+def _int_sturm_chain(f):
+    """Primitive integer Sturm sequence (Collins 1967; Brown-Traub 1971) of
+    a primitive integer coefficient list f (ascending, nonzero)."""
+    chain = [f]
+    if len(f) > 1:
+        chain.append(_int_primitive([i * c for i, c in enumerate(f)][1:]))
+    while len(chain[-1]) > 1:
+        r = _int_neg_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_int_primitive(r))
+    return chain
+
+
 def sign_variations(values) -> int:
     """Sign changes in a sequence of rationals, zeros dropped."""
     signs = [1 if v > 0 else -1 for v in values if v != 0]
@@ -314,26 +354,38 @@ def rational_roots(f: UniPoly):
     """All rational roots of f (complete for coefficients of moderate size)."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    g = f.primitive_int()
+    cs = [int(c) for c in f.primitive_int().coeffs]
     roots = []
-    if g.coeffs[0] == 0:
+    if cs[0] == 0:
         roots.append(Fraction(0))
-        k = 0
-        cs = list(g.coeffs)
-        while cs and cs[0] == 0:
+        while not cs[0]:
             cs.pop(0)
-            k += 1
-        g = UniPoly(cs)
-    if g.degree <= 0:
-        return sorted(roots)
-    c0 = int(g.coeffs[0])
-    cn = int(g.leading)
-    for p in _bounded_divisors(c0):
-        for q in _bounded_divisors(cn):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and g(cand) == 0:
-                    roots.append(cand)
+    if len(cs) <= 1:
+        return roots
+    # Past the trial cap a divisor list can miss the reduced form of a pair,
+    # so each pair is reduced and each value tested once.
+    qs = _bounded_divisors(cs[-1])
+    tried = set()
+    for p in _bounded_divisors(cs[0]):
+        for q in qs:
+            g = int_gcd(p, q)
+            num, den = p // g, q // g
+            if (num, den) in tried:
+                continue
+            tried.add((num, den))
+            for s in (num, -num):
+                if _int_homog_eval(cs, s, den) == 0:
+                    roots.append(Fraction(s, den))
     return sorted(roots)
+
+
+def _int_homog_eval(cs, p: int, q: int) -> int:
+    """q**n * f(p/q) for the ascending integer coefficients cs of f, degree n."""
+    acc, qpow = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc
 
 
 def deflate_rational_roots(f: UniPoly):
@@ -517,10 +569,11 @@ class RealAlgebraic:
     def cmp(self, other: Scalar) -> int:
         if isinstance(other, (int, Fraction)):
             return self.cmp_rational(_rat(other))
-        g = self.defining.gcd(other.defining)
         jlo, jhi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if jlo < jhi and g.degree > 0 and g.count_real_roots(jlo, jhi) > 0:
-            return 0
+        if jlo < jhi:
+            g = self.defining.gcd(other.defining)
+            if g.degree > 0 and g.count_real_roots(jlo, jhi) > 0:
+                return 0
         a, b = self, other
         while not (a.hi <= b.lo or b.hi <= a.lo):
             a, b = a.refined(), b.refined()

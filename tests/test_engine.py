@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -484,3 +486,181 @@ class TestDecompResultInvariants:
             assert Badge(hp.pos, hp.neg).precedes(got.badge)
             if hp.rank == rep.length and res.conclusive:
                 assert got.badge == Badge(hp.pos, hp.neg)
+
+
+# Literals captured from the generators' rational implementation; the
+# integer generators must yield the same stream up to scale.
+QUINTIC_STRUCTURED = [
+    (1, -25, -80, -80, -25, 1),
+    (2, 43, 150, 150, 43, 2),
+    (4, -13, -30, -30, -13, 4),
+    (5, 67, 240, 240, 67, 5),
+    (1, -1, 0, 0, -1, 1),
+    (8, 97, 350, 350, 97, 8),
+    (10, -7, 10, 10, -7, 10),
+    (11, 133, 480, 480, 133, 11),
+    (1, -1, 0, 0, -1, 1),
+    (2, 25, 90, 90, 25, 2),
+    (16, -25, -30, -30, -25, 16),
+    (17, 223, 800, 800, 223, 17),
+    (19, -43, -80, -80, -43, 19),
+    (2, 133, 450, 450, 133, 2),
+    (10, -73, -210, -210, -73, 10),
+    (2, 31, 110, 110, 31, 2),
+    (22, -37, -50, -50, -37, 22),
+    (2, 25, 90, 90, 25, 2),
+    (34, -25, 30, 30, -25, 34),
+    (38, 457, 1650, 1650, 457, 38),
+]
+
+QUINTIC_COMBINATIONS = [
+    (4, 4, 10, 10, -1, -1),
+    (4, 3, 10, 10, -1, 0),
+    (4, 2, 10, 10, -1, 1),
+    (3, 4, 10, 10, 0, -1),
+    (3, 3, 10, 10, 0, 0),
+    (3, 2, 10, 10, 0, 1),
+    (2, 4, 10, 10, 1, -1),
+    (2, 3, 10, 10, 1, 0),
+    (2, 2, 10, 10, 1, 1),
+    (4, 1, 10, 0, -1, -1),
+    (4, 0, 10, 0, -1, 0),
+    (4, -1, 10, 0, -1, 1),
+    (3, 1, 10, 0, 0, -1),
+    (3, 0, 10, 0, 0, 0),
+    (3, -1, 10, 0, 0, 1),
+    (2, 1, 10, 0, 1, -1),
+    (2, 0, 10, 0, 1, 0),
+    (2, -1, 10, 0, 1, 1),
+    (4, -2, 10, -10, -1, -1),
+    (4, -3, 10, -10, -1, 0),
+]
+
+QUINTIC_RANDOM_COMBINATIONS = [
+    (399, 278, 1650, 1440, 96, 154),
+    (228, 31, 840, 90, 24, -4),
+    (95, -244, 400, -600, 25, 64),
+    (140, 187, 210, 440, -77, -55),
+    (108, 245, 400, 150, 12, -200),
+    (108, 35, 360, 90, 0, -8),
+    (22, 4, 60, -10, -4, -7),
+    (250, 891, 1200, 3300, 110, 99),
+    (58, 203, 140, 560, -16, -35),
+    (45, -244, -270, -840, -126, -8),
+]
+
+BASELINE8_STRUCTURED = [
+    (19, 40, -140, -616, -910, -616, -140, 40, 19),
+    (16, 61, 151, 238, 283, 238, 151, 61, 16),
+    (13, 328, 2740, 10072, 16462, 10072, 2740, 328, 13),
+    (9, 40, 36, 120, 54, 120, 36, 40, 9),
+    (4, 115, 1141, 4970, 9149, 4970, 1141, 115, 4),
+    (4, -101, 295, -574, 671, -574, 295, -101, 4),
+    (9, 184, 1404, 4872, 7542, 4872, 1404, 184, 9),
+    (1, -8, 28, -56, 70, -56, 28, -8, 1),
+    (52, 1285, 11905, 50062, 89905, 50062, 11905, 1285, 52),
+    (36, -335, 1215, -2274, 2655, -2274, 1215, -335, 36),
+    (47, 1304, 13436, 61768, 116890, 61768, 13436, 1304, 47),
+    (413, -4792, 19508, -32936, 27694, -32936, 19508, -4792, 413),
+    (608, -2920, -42268, -139510, -202627, -139510, -42268, -2920, 608),
+    (576, 2056, 3780, 4494, 4599, 4494, 3780, 2056, 576),
+    (512, 16232, 134852, 469606, 734131, 469606, 134852, 16232, 512),
+    (416, 1592, 3428, 5554, 6145, 5554, 3428, 1592, 416),
+    (288, 7160, 62820, 246498, 423225, 246498, 62820, 7160, 288),
+    (896, 8600, -10660, 33146, -24355, 33146, -10660, 8600, 896),
+    (64, 568, -1988, -31934, -85295, -31934, -1988, 568, 64),
+    (864, -7816, 26964, -52878, 65457, -52878, 26964, -7816, 864),
+]
+
+BASELINE8_COMBINATIONS = [
+    (26755, -74880, 13297, 4022, 2011, -4022, 2011),
+    (7911, -21108, 3048, 4022, 2011, -4022, 0),
+    (10933, -32664, 7201, -4022, -2011, 4022, 2011),
+    (19122, -53954, 12300, 4022, 2011, 0, 2011),
+    (278, -182, 2051, 4022, 2011, 0, 0),
+    (18566, -53590, 8198, -4022, -2011, 0, 2011),
+    (11489, -33028, 11303, 4022, 2011, 4022, 2011),
+    (7355, -20744, -1054, -4022, -2011, -4022, 0),
+    (26199, -74516, 9195, -4022, -2011, -4022, 2011),
+    (26512, -74012, 13725, 4022, 0, -4022, 2011),
+    (3834, -10120, 1738, 2011, 0, -2011, 0),
+    (11176, -33532, 6773, -4022, 0, 4022, 2011),
+    (18879, -53086, 12728, 4022, 0, 0, 2011),
+    (35, 686, 2479, 4022, 0, 0, 0),
+    (18809, -54458, 7770, -4022, 0, 0, 2011),
+    (11246, -32160, 11731, 4022, 0, 4022, 2011),
+    (3799, -10806, -741, -2011, 0, -2011, 0),
+    (26442, -75384, 8767, -4022, 0, -4022, 2011),
+    (26269, -73144, 14153, 4022, -2011, -4022, 2011),
+    (7425, -19372, 3904, 4022, -2011, -4022, 0),
+]
+
+BASELINE8_RANDOM_COMBINATIONS = [
+    (3593977, -10277982, 1326655, -663630, -289584, -386112, 309694),
+    (102689, -336948, -221452, -337848, -18099, -96528, -8044),
+    (1410021, -4044078, 556021, -160880, 120660, -100550, 128704),
+    (1635588, -4592548, 673691, 84462, 88484, -309694, 110605),
+    (3682249, -10488868, 2130576, 160880, 30165, 48264, 402200),
+    (154199, -413292, 167384, 144792, 18099, 0, 16088),
+    (162407, -455124, 91033, 24132, -2011, -16088, 14077),
+    (2620796, -7421168, 968081, -482640, -663630, -442420, 199089),
+    (795766, -2255840, 385405, 56308, 112616, -64352, 70385),
+    (1091153, -3012462, 176633, -108594, -168924, -506772, 16088),
+]
+
+
+BASELINE8_RAW = [1, 3, 4, -9, 5, -1, -2, 9, -6]  # ROADMAP Baseline, d = 8
+
+
+def _primitive_tuple(vec):
+    vec = [F(v) for v in vec]
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+class TestGeneratorStreams:
+    """The candidate streams are pinned: budgets, rejection counts and the
+    chosen witnesses all depend on their exact order."""
+
+    QUINTIC = sextic_xy_family(F(-3, 10))  # the structured-quintic-valid fixture
+    BASELINE8 = BinaryForm.from_raw(8, BASELINE8_RAW)
+
+    @pytest.mark.parametrize(
+        "form, r, want",
+        [("QUINTIC", 5, QUINTIC_STRUCTURED), ("BASELINE8", 8, BASELINE8_STRUCTURED)],
+    )
+    def test_structured(self, form, r, want):
+        p = getattr(self, form)
+        got = itertools.islice(engine._structured_candidates(p, r, SearchConfig()), 20)
+        got = [_primitive_tuple(v) for v in got]
+        assert got == want
+        self._assert_in_kernel(p, r, got)
+
+    @pytest.mark.parametrize(
+        "form, r, start, want",
+        [
+            ("QUINTIC", 5, 0, QUINTIC_COMBINATIONS),
+            ("QUINTIC", 5, 2400, QUINTIC_RANDOM_COMBINATIONS),
+            ("BASELINE8", 6, 0, BASELINE8_COMBINATIONS),
+            ("BASELINE8", 6, 2400, BASELINE8_RANDOM_COMBINATIONS),
+        ],
+    )
+    def test_combinations(self, form, r, start, want):
+        # from index 2400 on, a 4-dimensional kernel is past the height-3
+        # integer weights and into the seeded random rational ones
+        p = getattr(self, form)
+        basis = kernel_basis(hankel(p, r))
+        stream = engine._combination_candidates(basis, SearchConfig(), random.Random(0))
+        got = itertools.islice(stream, start, start + len(want))
+        got = [_primitive_tuple(v) for v in got]
+        assert got == want
+        self._assert_in_kernel(p, r, got)
+
+    @staticmethod
+    def _assert_in_kernel(p, r, vecs):
+        mat = hankel(p, r)
+        assert all(not any(mat.apply(v)) for v in vecs)

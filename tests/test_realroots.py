@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
+import binforms.realroots as realroots
 from binforms.errors import ZeroPolynomialError
 from binforms.realroots import (
     RealAlgebraic,
@@ -15,6 +17,7 @@ from binforms.realroots import (
     sign_at,
     scalar_cmp,
     squarefree_part,
+    sturm_count,
 )
 
 T = sympy.Symbol("t")
@@ -120,6 +123,68 @@ class TestCounting:
             expected = len(sympy.Poly(to_sympy(f), T).real_roots())
             distinct = len(set(sympy.Poly(to_sympy(f), T).real_roots()))
             assert count_real_roots(f) == distinct
+
+
+def _rational_sturm_chain(f: UniPoly):
+    """Sturm chain by the rational recurrence: (-(f_{i-1} rem f_i)).primitive_int()."""
+    f = f.primitive_int()
+    chain = [f, f.derivative().primitive_int()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        r = chain[-2].rem(chain[-1])
+        if r.is_zero:
+            break
+        chain.append((-r).primitive_int())
+    return [g for g in chain if not g.is_zero]
+
+
+def _seeded_integer_polys(count=200):
+    """Degrees 1..12, products of factors with coefficients up to 10^6;
+    plain, with a repeated root, a complex pair or a zero constant term in turn."""
+    rng = random.Random(31)
+    out = []
+    for k in range(count):
+        degree = 1 + k % 12
+        kind = k % 4
+        f = UniPoly([rng.choice([-1, 1]) * rng.randint(1, 10**6)])
+        while f.degree < degree:
+            room = degree - f.degree
+            if kind == 1 and room >= 2:  # a repeated rational root
+                lin = UniPoly([rng.randint(-9, 9), rng.randint(1, 5)])
+                f = f * lin * lin
+            elif kind == 2 and room >= 2:  # a complex conjugate pair
+                b = rng.randint(-50, 50)
+                f = f * UniPoly([b * b + rng.randint(1, 10**4), 2 * b, 1])
+            elif kind == 3 and f.degree == 0:  # zero constant term
+                f = f * UniPoly([0, 1])
+            else:
+                cs = [rng.randint(-(10**6), 10**6) for _ in range(room)] + [1]
+                f = f * UniPoly(cs)
+        out.append(f)
+    return out
+
+
+class TestIntegerSturmChain:
+    def test_against_sympy(self):
+        for f in _seeded_integer_polys():
+            chain = f.sturm_chain()
+            sp = sympy.Poly(to_sympy(f), T)
+            assert sturm_count(chain) == sp.sqf_part().count_roots()
+            assert (chain[-1].degree == 0) == sp.is_sqf
+
+    def test_entries_primitive_and_equal_to_rational_recurrence(self):
+        for f in _seeded_integer_polys():
+            chain = f.sturm_chain()
+            want = _rational_sturm_chain(f)
+            assert [g.leading > 0 for g in chain] == [g.leading > 0 for g in want]
+            assert chain == want
+            for g in chain:
+                assert all(c.denominator == 1 for c in g.coeffs)
+                assert math.gcd(*(int(c) for c in g.coeffs)) == 1
+
+    def test_edge_cases(self):
+        assert UniPoly().sturm_chain() == []
+        assert UniPoly([-6]).sturm_chain() == [UniPoly([-1])]
+        assert UniPoly([4, -6]).sturm_chain() == [UniPoly([2, -3]), UniPoly([-1])]
 
 
 class TestIsolation:
@@ -237,3 +302,37 @@ class TestRationalRoots:
         assert roots == [F(-3), F(1, 2), F(5)]
         rats, cof = deflate_rational_roots(f)
         assert rats == roots and cof.monic() == UniPoly([1, 0, 1]).monic()
+    def test_against_sympy(self):
+        rng = random.Random(23)
+        for k in range(60):
+            f = UniPoly([rng.choice([2, 3, 6, 7, 12])])  # never monic
+            for _ in range(rng.randint(0, 4)):
+                num, den = rng.randint(-15, 15), rng.randint(1, 10)
+                for _ in range(rng.randint(1, 3)):  # repeated roots
+                    f = f * UniPoly([-num, den])
+            if k % 3 == 0:
+                for _ in range(rng.randint(1, 2)):  # zero root
+                    f = f * UniPoly([0, 1])
+            if k % 2 == 0:
+                f = f * UniPoly([rng.randint(1, 9), rng.randint(-3, 3), 2])
+            expected = []
+            for fac, _mult in sympy.factor_list(to_sympy(f), T)[1]:
+                lin = sympy.Poly(fac, T)
+                if lin.degree() == 1:
+                    root = -lin.nth(0) / lin.nth(1)
+                    expected.append(F(int(root.p), int(root.q)))
+            assert rational_roots(f) == sorted(expected)
+
+    def test_divisor_lists_built_once(self, monkeypatch):
+        calls = []
+        real = realroots._bounded_divisors
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(realroots, "_bounded_divisors", counted)
+        # constant term 2^4 * 3^2 * 5 * 7 has 60 divisors
+        f = UniPoly([-24, 5]) * UniPoly([-105, 4]) * UniPoly([1, 0, 3])
+        assert rational_roots(f) == [F(24, 5), F(105, 4)]
+        assert len(calls) == 2
