@@ -49,11 +49,12 @@ from .realroots import (
     RealAlgebraic,
     Scalar,
     UniPoly,
+    _int_sturm_chain,
+    _int_sturm_count,
     deflate_rational_roots,
     scalar_cmp,
     scalar_sign,
     simplest_between,
-    sturm_count,
 )
 
 # Stable rule identifiers attached to report conclusions (documented in README).
@@ -172,42 +173,46 @@ def sylvester_candidates(p: BinaryForm, r: int) -> List[Tuple[Fraction, ...]]:
 
 
 def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
-    """Accept iff squarefree with exactly r distinct real projective roots."""
-    cs = [Fraction(c) for c in coeffs]
-    if len(cs) != r + 1:
+    """Accept iff squarefree with exactly r distinct real projective roots.
+
+    A candidate is rejected on its primitive integer vector and the integer
+    Sturm chain of its dehomogenization; only an accepted one becomes a
+    UniPoly.
+    """
+    if len(coeffs) != r + 1:
         raise SylvesterRejectionError(
             SylvesterRejectionError.ZERO, f"need {r + 1} coefficients"
         )
-    if all(c == 0 for c in cs):
+    if not all(isinstance(c, int) for c in coeffs):
+        coeffs = _integer_rows([coeffs])[0]
+    if not any(coeffs):
         raise SylvesterRejectionError(SylvesterRejectionError.ZERO, "zero vector")
-    cs = _primitive(cs)
-    ell = UniPoly([cs[r - i] for i in range(r + 1)])
-    inf_mult = r - ell.degree
+    cs = _primitive_ints(coeffs)
+    inf_mult = next(i for i, c in enumerate(cs) if c)
     if inf_mult >= 2:
         raise SylvesterRejectionError(
             SylvesterRejectionError.REPEATED_INFINITY,
             f"y^{inf_mult} divides the candidate",
         )
+    ell = list(reversed(cs[inf_mult:]))  # ascending in t = x/y
     finite: List[Scalar] = []
-    if ell.degree > 0:
-        chain = ell.sturm_chain()
-        if chain[-1].degree > 0:
+    if len(ell) > 1:
+        chain = _int_sturm_chain(ell)
+        if len(chain[-1]) > 1:
             raise SylvesterRejectionError(
                 SylvesterRejectionError.NOT_SQUAREFREE, "repeated factor"
             )
-        if sturm_count(chain) < ell.degree:
+        if _int_sturm_count(chain) < len(ell) - 1:
             raise SylvesterRejectionError(
                 SylvesterRejectionError.COMPLEX_ROOTS, "not all roots are real"
             )
-        rats, cof = deflate_rational_roots(ell)
+        rats, cof = deflate_rational_roots(UniPoly.from_sturm_chain(chain))
         finite.extend(rats)
         finite.extend(RealAlgebraic.isolate(cof))
         finite.sort(key=functools.cmp_to_key(scalar_cmp))
-    return SylvesterForm(r, tuple(cs), ProjRootSet(tuple(finite), inf_mult))
-
-
-def _primitive(vec) -> List[Fraction]:
-    return list(_primitive_vector([Fraction(v) for v in vec]))
+    return SylvesterForm(
+        r, tuple(Fraction(c) for c in cs), ProjRootSet(tuple(finite), inf_mult)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +375,18 @@ def _mat_mul(a, b):
 
 
 def _isolate_value(g: UniPoly, gamma: RealAlgebraic, defining: UniPoly) -> Scalar:
-    """The number g(gamma) as a RealAlgebraic rooted in `defining`
-    (or a Fraction when the enclosure pins a rational root exactly)."""
+    """The number g(gamma) as a RealAlgebraic rooted in `defining`, a
+    squarefree primitive integer polynomial (or a Fraction when the
+    enclosure pins a rational root exactly)."""
     cur = gamma
     while True:
         iv = g.eval_interval(cur.interval())
-        for endpoint in (iv.lo, iv.hi):
-            if defining(endpoint) == 0:
-                diff = g - UniPoly([endpoint])
-                if cur.sign_of_poly(diff) == 0:
-                    return endpoint
-        if (
-            defining(iv.lo) != 0
-            and defining(iv.hi) != 0
-            and defining.count_real_roots(iv.lo, iv.hi) == 1
-        ):
-            return RealAlgebraic(defining.primitive_int(), iv.lo, iv.hi)
+        on_root = [e for e in (iv.lo, iv.hi) if defining.sign_at_rational(e) == 0]
+        for endpoint in on_root:
+            if cur.sign_of_poly(g - UniPoly([endpoint])) == 0:
+                return endpoint
+        if not on_root and defining.count_real_roots(iv.lo, iv.hi) == 1:
+            return RealAlgebraic(defining, iv.lo, iv.hi)
         cur = cur.refined()
 
 
@@ -437,7 +438,7 @@ def decide_pencil(
         vec = [Fraction(v) for v in vec]
         if all(v == 0 for v in vec):
             return
-        key = tuple(_primitive(vec))
+        key = _primitive_vector(vec)
         if key in seen:
             return
         seen.add(key)

@@ -1,7 +1,8 @@
 """Exact linear algebra: catalecticant and Hankel blocks, inertia via
 rational congruence, psd tests, width, and one fraction-free (Bareiss)
-elimination shared by kernel bases and determinants over Z and Q[z], which
-give the engine its resultants and characteristic polynomials.
+elimination over Z shared by kernel bases and determinants; determinants
+over Q[z], which give the engine its resultants and characteristic
+polynomials, are interpolated from integer ones.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     RankOutOfRangeError,
 )
 from .forms import BinaryForm
-from .realroots import UniPoly, _int_primitive, sign_variations
+from .realroots import UniPoly, _int_homog_eval, _int_primitive, sign_variations
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,13 @@ def is_psd(m: SymMatrix) -> bool:
 def _bareiss(m: List[list]) -> Tuple[List[int], int]:
     """Fraction-free forward elimination (Bareiss 1968) of the rows m, in place.
 
-    Entries are integers or UniPolys; every division is exact in either ring,
-    and an inexact one raises InternalCheckError.  Each column takes as pivot
-    its first nonzero entry at or below the current row; a column without
-    one is skipped.  Returns the pivot columns, row i holding the pivot of
-    piv_cols[i] and valid entries from there rightward, and the parity of the
-    row swaps.  The last pivot of a nonsingular square matrix is its
-    determinant times (-1)**parity.
+    Entries are integers; every division is exact, and an inexact one raises
+    InternalCheckError.  Each column takes as pivot its first nonzero entry
+    at or below the current row; a column without one is skipped.  Returns
+    the pivot columns, row i holding the pivot of piv_cols[i] and valid
+    entries from there rightward, and the parity of the row swaps.  The last
+    pivot of a nonsingular square matrix is its determinant times
+    (-1)**parity.
     """
     nrows, ncols = len(m), len(m[0])
     piv_cols: List[int] = []
@@ -261,16 +262,67 @@ def _primitive_vector(vec) -> Tuple[Fraction, ...]:
 def det_poly_matrix(entries: Sequence[Sequence[UniPoly]]) -> UniPoly:
     """Determinant of a square matrix with univariate polynomial entries.
 
-    Bareiss elimination over Q[z]: O(n^3) exact polynomial operations.
+    Evaluation and interpolation (Collins 1971): each row is scaled to
+    integer coefficients, the determinant, of degree at most D = the sum of
+    the rows' largest entry degrees, is taken by integer Bareiss at
+    z = 0..D, and Newton interpolation through those values gives it back.
     """
-    m = [list(row) for row in entries]
-    n = len(m)
+    n = len(entries)
     if n == 0:
         return UniPoly([1])
+    degree = 0
+    for row in entries:
+        top = max(e.degree for e in row)
+        if top < 0:
+            return UniPoly()
+        degree += top
+    rows = []
+    scale = 1
+    for row in entries:
+        den = lcm(*(c.denominator for e in row for c in e.coeffs))
+        rows.append(
+            [[c.numerator * (den // c.denominator) for c in e.coeffs] or [0] for e in row]
+        )
+        scale *= den
+    values = [
+        _int_det([[_int_homog_eval(cs, z, 1) for cs in row] for row in rows])
+        for z in range(degree + 1)
+    ]
+    return UniPoly(Fraction(c, scale) for c in _newton_interpolate(values))
+
+
+def _int_det(m: List[List[int]]) -> int:
     piv_cols, parity = _bareiss(m)
-    if len(piv_cols) < n:
-        return UniPoly()
+    if len(piv_cols) < len(m):
+        return 0
     return -m[-1][-1] if parity else m[-1][-1]
+
+
+def _newton_interpolate(values: List[int]) -> List[int]:
+    """Ascending coefficients of the integer polynomial P with P(z) =
+    values[z] for z = 0..len(values)-1.
+
+    The forward differences of P at 0, over k!, are its coefficients in the
+    basis z(z-1)...(z-k+1); they are integers because P has integer
+    coefficients, which an inexact division would contradict.
+    """
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for k in range(len(values)):
+        if k:
+            fact *= k
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        c, rem = divmod(diffs[0], fact)
+        if rem:
+            raise InternalCheckError("interpolated determinant is not integral")
+        newton.append(c)
+    out = [newton[-1]]
+    for k in reversed(range(len(newton) - 1)):
+        # out <- out * (z - k) + newton[k]
+        shifted = [a - k * b for a, b in zip(out, out[1:])]
+        out = [newton[k] - k * out[0], *shifted, out[-1]]
+    return out
 
 
 def charpoly(m: SymMatrix) -> UniPoly:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .errors import ZeroPolynomialError
@@ -30,13 +31,29 @@ def _rat(x) -> Fraction:
 class UniPoly:
     """Univariate polynomial with exact rational coefficients, ascending order."""
 
-    __slots__ = ("coeffs",)
+    # Memoized, never pickled: _sqf is the squarefree part (_SELF when that is
+    # this polynomial); _chain is the primitive integer Sturm chain of
+    # primitive_int(), or only its first entry until the rest is needed.
+    __slots__ = ("coeffs", "_sqf", "_chain")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._sqf = self._chain = None
+
+    def __reduce__(self):
+        return (UniPoly, (self.coeffs,))
+
+    @staticmethod
+    def from_sturm_chain(chain) -> "UniPoly":
+        """The squarefree polynomial chain[0] of an integer Sturm chain
+        (as built by _int_sturm_chain), keeping the chain."""
+        out = UniPoly(chain[0])
+        out._chain = chain
+        out._sqf = _SELF
+        return out
 
     @staticmethod
     def const(c) -> "UniPoly":
@@ -53,9 +70,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     @property
     def leading(self) -> Fraction:
@@ -123,10 +137,8 @@ class UniPoly:
             acc = acc * iv + RatInterval.point(c)
         return acc
 
-    def divmod(self, other):
-        """Exact rational division with remainder (by a polynomial or a scalar)."""
-        if not isinstance(other, UniPoly):
-            other = UniPoly([other])
+    def divmod(self, other: "UniPoly"):
+        """Exact rational division with remainder."""
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
         q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
@@ -145,8 +157,6 @@ class UniPoly:
                 r[k + i] -= f * c
             r.pop()
         return UniPoly(q), UniPoly(r)
-
-    __divmod__ = divmod
 
     def rem(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -167,14 +177,29 @@ class UniPoly:
         """Scale to integer coefficients with content 1, preserving sign."""
         if self.is_zero:
             return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        return UniPoly([v // g for v in ints])
+        return UniPoly(_primitive_int_coeffs(self.coeffs))
+
+    def _ints(self):
+        """Coefficients of primitive_int() as Python integers, memoized as
+        the first entry of the Sturm chain; the polynomial must be nonzero."""
+        if self._chain is None:
+            self._chain = [_primitive_int_coeffs(self.coeffs)]
+        return self._chain[0]
+
+    def _int_chain(self):
+        """Primitive integer Sturm chain of primitive_int(), built once; the
+        polynomial must be nonzero."""
+        chain = self._chain
+        if chain is None or (len(chain) == 1 and len(chain[0]) > 1):
+            chain = self._chain = _int_sturm_chain(self._ints())
+        return chain
+
+    def sign_at_rational(self, x) -> int:
+        """Sign of f(x) for a rational x = p/q: the sign of q**n f(p/q)."""
+        if self.is_zero:
+            return 0
+        v = _int_homog_eval(self._ints(), x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd over the rationals (1 for coprime, 0 only if both zero)."""
@@ -187,14 +212,32 @@ class UniPoly:
         return a.monic()
 
     def squarefree_part(self) -> "UniPoly":
+        """Primitive integer polynomial with the same roots, all simple.
+
+        Memoized; a polynomial that is its own squarefree part returns itself.
+        """
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no squarefree part")
+        sqf = self._sqf
+        if sqf is None:
+            sqf = self._sqf = self._squarefree_part()
+        return self if sqf is _SELF else sqf
+
+    def _squarefree_part(self):
+        """f / gcd(f, f') over Z, the gcd read off the end of the Sturm chain
+        of f = primitive_int(); _SELF when that is this polynomial."""
         if self.degree <= 0:
             return UniPoly([1])
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.primitive_int()
-        return self.exact_div(g).primitive_int()
+        chain = self._int_chain()
+        f, g = chain[0], chain[-1]
+        if len(g) == 1:
+            if self.coeffs == tuple(f):
+                return _SELF
+            return UniPoly.from_sturm_chain(chain)
+        h = _int_exact_div(f, g)
+        if (h[-1] > 0) != (f[-1] > 0):
+            h = [-c for c in h]
+        return UniPoly(h)
 
     def multiplicity_profile(self):
         """Yun decomposition: list of (squarefree factor, multiplicity)."""
@@ -232,56 +275,71 @@ class UniPoly:
 
         The last entry is gcd(f, f') up to a constant, so f is squarefree iff
         that entry is a constant.  Either way the chain counts the distinct
-        real roots.  Built as a primitive integer remainder sequence; every
-        entry is the primitive integer form of the rational Sturm remainder.
+        real roots.  Built once as a primitive integer remainder sequence;
+        every entry is the primitive integer form of the rational Sturm
+        remainder.
         """
-        f = self.primitive_int()
-        if f.is_zero:
+        if self.is_zero:
             return []
-        return [UniPoly(g) for g in _int_sturm_chain([int(c) for c in f.coeffs])]
+        return [UniPoly(g) for g in self._int_chain()]
 
     def count_real_roots(
         self, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None
     ) -> int:
-        """Distinct real roots on the whole line or the closed interval [lo, hi]."""
+        """Distinct real roots on the whole line or the closed interval [lo, hi].
+
+        On the Sturm chain of the squarefree part, V(a) - V(b) counts the
+        roots in (a, b], so a root at lo is added on its own.
+        """
         if self.is_zero:
             raise ZeroPolynomialError("root counting needs a nonzero polynomial")
         if lo is None and hi is None:
-            return sturm_count(self.sturm_chain())
-        f = self.squarefree_part()
-        if f.degree <= 0:
-            return 0
-        extra = 0
-        if lo is not None and f(lo) == 0:
-            f = f.exact_div(UniPoly([-lo, 1])).primitive_int()
-            extra += 1
-        if hi is not None and not f.is_zero and f.degree > 0 and f(hi) == 0:
-            f = f.exact_div(UniPoly([-hi, 1])).primitive_int()
-            extra += 1
-        if f.degree <= 0:
-            return extra
-        chain = f.sturm_chain()
-        return extra + _variations(chain, lo, False) - _variations(chain, hi, True)
-
-
-def _variations(chain, point: Optional[Fraction], at_plus_infinity: bool) -> int:
-    signs = []
-    for g in chain:
-        if point is None:
-            s = 1 if g.leading > 0 else -1
-            if not at_plus_infinity and g.degree % 2 == 1:
-                s = -s
+            return _int_sturm_count(self._int_chain())
+        g = self.squarefree_part()
+        chain = g._int_chain()
+        if lo is None:
+            n = _variations_at_infinity(chain, -1)
         else:
-            v = g(point)
-            s = 0 if v == 0 else (1 if v > 0 else -1)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+            n = _variations_at(chain, lo)
+            if g.sign_at_rational(lo) == 0:
+                n += 1
+        if hi is None:
+            n -= _variations_at_infinity(chain, 1)
+        else:
+            n -= _variations_at(chain, hi)
+        return n
+
+
+# Marks a polynomial as its own squarefree part (UniPoly._sqf) without a
+# reference from the polynomial to itself.
+_SELF = object()
+
+
+def _primitive_int_coeffs(coeffs):
+    """Rational coefficients scaled to integers with content 1, sign kept."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _variations_at(chain, x) -> int:
+    """Sign changes of an integer chain at the rational x, zeros dropped."""
+    p, q = x.numerator, x.denominator
+    return sign_variations([_int_homog_eval(cs, p, q) for cs in chain])
+
+
+def _variations_at_infinity(chain, side: int) -> int:
+    """Sign changes of a chain of coefficient sequences at +oo (side 1) or
+    -oo (side -1): the signs of lc * side**degree."""
+    return sign_variations([cs[-1] * side ** (len(cs) - 1) for cs in chain])
+
+
+def _int_sturm_count(chain) -> int:
+    return _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
 
 
 def sturm_count(chain) -> int:
     """Distinct real roots of chain[0] read off its Sturm chain: V(-oo) - V(+oo)."""
-    return _variations(chain, None, False) - _variations(chain, None, True)
+    return _int_sturm_count([g.coeffs for g in chain])
 
 
 def _int_primitive(cs):
@@ -311,6 +369,18 @@ def _int_neg_prem(a, b):
         while r and not r[-1]:
             r.pop()
     return [-c for c in r]
+
+
+def _int_exact_div(f, g):
+    """f / g for integer coefficient lists when the quotient is integral."""
+    r = list(f)
+    lg, dg = g[-1], len(g) - 1
+    q = [0] * (len(f) - dg)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + dg] // lg
+        for i in range(dg + 1):
+            r[k + i] -= c * g[i]
+    return q
 
 
 def _int_sturm_chain(f):
@@ -354,7 +424,7 @@ def rational_roots(f: UniPoly):
     """All rational roots of f (complete for coefficients of moderate size)."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    cs = [int(c) for c in f.primitive_int().coeffs]
+    cs = list(f._ints())
     roots = []
     if cs[0] == 0:
         roots.append(Fraction(0))
@@ -394,7 +464,7 @@ def deflate_rational_roots(f: UniPoly):
     roots = rational_roots(g)
     for r in roots:
         g = g.exact_div(UniPoly([-r, 1]))
-    return roots, g.primitive_int()
+    return roots, (g.primitive_int() if roots else g)
 
 
 @dataclass(frozen=True)
@@ -475,36 +545,35 @@ class RealAlgebraic:
         if g.degree <= 0:
             return []
         bound = Fraction(1) + max(abs(c) for c in g.coeffs) / abs(g.leading)
-        chain = g.sturm_chain()
-
-        def var(x):
-            return _variations(chain, x, False)
-
+        chain = g._int_chain()
         out = []
-
-        def split(a, b, count):
-            if count == 0:
-                return
-            if count == 1:
+        # Bisection over a worklist of (a, V(a), b, V(b)): V(a) - V(b) roots
+        # lie in (a, b].
+        todo = [
+            (-bound, _variations_at(chain, -bound), bound, _variations_at(chain, bound))
+        ]
+        while todo:
+            a, va, b, vb = todo.pop()
+            if va - vb == 0:
+                continue
+            if va - vb == 1:
                 out.append(RealAlgebraic(g, a, b))
-                return
+                continue
             mid = (a + b) / 2
-            if g(mid) == 0:
+            if g.sign_at_rational(mid) == 0:
                 delta = (b - a) / 4
-                while (
-                    g(mid - delta) == 0
-                    or g(mid + delta) == 0
-                    or var(mid - delta) - var(mid + delta) != 1
-                ):
+                while True:
+                    lo, hi = mid - delta, mid + delta
+                    if g.sign_at_rational(lo) and g.sign_at_rational(hi):
+                        vlo, vhi = _variations_at(chain, lo), _variations_at(chain, hi)
+                        if vlo - vhi == 1:
+                            break
                     delta /= 2
-                out.append(RealAlgebraic(g, mid - delta, mid + delta))
-                split(a, mid - delta, var(a) - var(mid - delta))
-                split(mid + delta, b, var(mid + delta) - var(b))
+                out.append(RealAlgebraic(g, lo, hi))
+                todo += [(a, va, lo, vlo), (hi, vhi, b, vb)]
             else:
-                split(a, mid, var(a) - var(mid))
-                split(mid, b, var(mid) - var(b))
-
-        split(-bound, bound, var(-bound) - var(bound))
+                vm = _variations_at(chain, mid)
+                todo += [(a, va, mid, vm), (mid, vm, b, vb)]
         return sorted(out, key=lambda r: r.lo)
 
     # -- refinement -------------------------------------------------------
@@ -517,18 +586,20 @@ class RealAlgebraic:
         return self.hi - self.lo
 
     def refined(self, steps: int = 1) -> "RealAlgebraic":
-        cur = self
+        f, lo, hi = self.defining, self.lo, self.hi
+        s_lo = f.sign_at_rational(lo)
         for _ in range(steps):
-            mid = (cur.lo + cur.hi) / 2
-            if cur.defining(mid) == 0:
-                w = (cur.hi - cur.lo) / 8
-                cur = RealAlgebraic(cur.defining, mid - w, mid + w)
-                continue
-            if _sgn(cur.defining(cur.lo)) * _sgn(cur.defining(mid)) < 0:
-                cur = RealAlgebraic(cur.defining, cur.lo, mid)
+            mid = (lo + hi) / 2
+            s_mid = f.sign_at_rational(mid)
+            if s_mid == 0:
+                w = (hi - lo) / 8
+                lo, hi = mid - w, mid + w
+                s_lo = f.sign_at_rational(lo)
+            elif s_lo * s_mid < 0:
+                hi = mid
             else:
-                cur = RealAlgebraic(cur.defining, mid, cur.hi)
-        return cur
+                lo, s_lo = mid, s_mid
+        return RealAlgebraic(f, lo, hi)
 
     def refined_below(self, width: Fraction) -> "RealAlgebraic":
         cur = self
@@ -556,7 +627,7 @@ class RealAlgebraic:
             cur = cur.refined()
 
     def equals_rational(self, q: Fraction) -> bool:
-        return self.lo < q < self.hi and self.defining(q) == 0
+        return self.lo < q < self.hi and self.defining.sign_at_rational(q) == 0
 
     def cmp_rational(self, q: Fraction) -> int:
         if self.equals_rational(q):

@@ -202,6 +202,55 @@ class TestKernel:
             assert 0 <= rank <= min(len(rows), ncols)
 
 
+def _sylvester_rows(f, g):
+    """Sylvester matrix of two lists of t-coefficients, f's rows first."""
+    n, m = len(f) - 1, len(g) - 1
+    zero = UniPoly()
+    return [
+        [zero] * i + list(reversed(coeffs)) + [zero] * (count - 1 - i)
+        for coeffs, count in ((f, m), (g, n))
+        for i in range(count)
+    ]
+
+
+def _pencil_sylvester_matrices():
+    """Res_t(h_u, h_u') matrices of planted pencils: p a sum of s+1 integer
+    powers in degree d = 2s, h_u = b1 + u b2 over the kernel of hankel(p, s+1);
+    sizes 2s+1 up to 17, entries linear in u with integer coefficients."""
+    rng = random.Random(61)
+    out = []
+    for d in (8, 10, 12, 14, 16):
+        s = d // 2
+        terms = [
+            f"({rng.choice([-1, 1]) * rng.randint(1, 9)})*(x + ({a})*y)^{d}"
+            for a in rng.sample(range(-9, 10), s + 1)
+        ]
+        p = parse_form(" + ".join(terms))
+        b1, b2 = kernel_basis(hankel(p, s + 1))
+        h = [UniPoly([b1[s + 1 - i], b2[s + 1 - i]]) for i in range(s + 2)]
+        out.append(_sylvester_rows(h, [h[i + 1] * (i + 1) for i in range(s + 1)]))
+    return out
+
+
+def _rational_mixed_matrices():
+    """Rational entries: rows of different degrees, degree-2 entries, a zero row."""
+    rng = random.Random(67)
+
+    def entry(degree):
+        return UniPoly([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree + 1)])
+
+    out = []
+    for n in (2, 3, 4, 5):
+        degrees = [rng.randint(0, 2) for _ in range(n)]
+        m = [[entry(rng.randint(0, deg)) for _ in range(n)] for deg in degrees]
+        m[0][0] = entry(2)
+        out.append(m)
+        zero_row = [row[:] for row in m]
+        zero_row[n // 2] = [UniPoly()] * n
+        out.append(zero_row)
+    return out
+
+
 class TestDeterminant:
     def test_antidiagonal_permutations(self):
         for n in (2, 3):
@@ -216,6 +265,16 @@ class TestDeterminant:
                 assert chi.degree == n and chi.leading == 1
 
     def test_against_sympy(self):
+        def check(m):
+            n = len(m)
+            dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, lambda i, j: to_sympy(m[i][j])))
+            want = dm.domain.to_sympy(dm.det())
+            got = det_poly_matrix(m)
+            assert sympy.Poly(to_sympy(got), Z) == sympy.Poly(want, Z)
+            return got
+
+        for m in _pencil_sylvester_matrices() + _rational_mixed_matrices():
+            check(m)
         rng = random.Random(59)
         for trial in range(48):
             n = rng.randint(1, 6)
@@ -230,10 +289,7 @@ class TestDeterminant:
             elif kind == 2 and n >= 2:  # zero leading entry forces a row swap
                 m[0][0] = UniPoly()
                 m[-1][0] = UniPoly([1, 1])
-            dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, lambda i, j: to_sympy(m[i][j])))
-            want = dm.domain.to_sympy(dm.det())
-            got = det_poly_matrix(m)
-            assert sympy.Poly(to_sympy(got), Z) == sympy.Poly(want, Z)
+            got = check(m)
             if kind == 1 and n >= 2:
                 assert got.is_zero
 

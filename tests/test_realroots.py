@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -73,6 +74,16 @@ class TestSquarefree:
         f = UniPoly([1, 0, 1])
         assert squarefree_part(f).monic() == f.monic()
 
+    def test_memoized_without_self_reference(self):
+        f = UniPoly([-2, 0, 1])
+        assert f.squarefree_part() is f
+        g = f * f * UniPoly([F(1, 2), 1])
+        sf = g.squarefree_part()
+        assert sf is g.squarefree_part()
+        assert sf == (f * UniPoly([1, 2])).primitive_int()
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and copy.squarefree_part() is copy
+
     def test_divides(self):
         rng = random.Random(2)
         for _ in range(20):
@@ -123,6 +134,59 @@ class TestCounting:
             expected = len(sympy.Poly(to_sympy(f), T).real_roots())
             distinct = len(set(sympy.Poly(to_sympy(f), T).real_roots()))
             assert count_real_roots(f) == distinct
+
+    def test_interval_counts_against_sympy(self):
+        rng = random.Random(41)
+
+        def rat():
+            return F(rng.randint(-40, 40), rng.randint(1, 4))
+
+        for k in range(200):
+            roots = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            f = UniPoly([rng.choice([-1, 1]) * rng.randint(1, 9)])
+            for rho in roots:  # every third polynomial has repeated roots
+                for _ in range(rng.randint(2, 3) if k % 3 == 0 else 1):
+                    f = f * UniPoly([-rho, 1])
+            f = f * random_poly(rng, rng.randint(0, 4))
+            mode = k % 6
+            if mode == 0:  # root at lo
+                lo = rng.choice(roots)
+                hi = lo + abs(rat())
+            elif mode == 1:  # root at hi
+                hi = rng.choice(roots)
+                lo = hi - abs(rat())
+            elif mode == 2:  # roots at both ends (lo == hi for a single root)
+                lo, hi = min(roots), max(roots)
+            elif mode == 3:  # lo == hi, on a root every other time
+                lo = hi = rng.choice(roots) if k % 2 else rat()
+            elif mode == 4:
+                lo, hi = None, rng.choice([rat(), rng.choice(roots)])
+            else:
+                lo, hi = rng.choice([rat(), rng.choice(roots)]), None
+            sp = sympy.Poly(to_sympy(f), T)
+            want = sp.count_roots(
+                None if lo is None else sympy.Rational(lo),
+                None if hi is None else sympy.Rational(hi),
+            )
+            assert count_real_roots(f, lo, hi) == want, (f, lo, hi)
+
+    def test_chain_built_once(self, monkeypatch):
+        calls = []
+        real = realroots._int_sturm_chain
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(realroots, "_int_sturm_chain", counted)
+        f = UniPoly([2, -4, 0, 0, 0, 1])  # t^5 - 4t + 2: three real roots, irreducible
+        cur = isolate_roots(f)[1]
+        for step in range(50):
+            cur = cur.refined()
+            if step % 5 == 0:
+                assert cur.defining.count_real_roots(cur.lo, cur.hi) == 1
+                assert cur.defining.count_real_roots(cur.lo - 4, cur.hi) == 2
+        assert len(calls) == 1
 
 
 def _rational_sturm_chain(f: UniPoly):
@@ -214,6 +278,15 @@ class TestIsolation:
             for r, v in zip(roots, sorted(vals)):
                 assert r.lo < v < r.hi
             assert count_real_roots(f) == len(vals)
+
+    def test_clustered_roots(self):
+        # 1/3 and 1/3 + 2^-1200 split only after about 1200 bisections
+        gap = F(1, 2**1200)
+        f = UniPoly([-1, 3]) * UniPoly([-(F(1, 3) + gap), 1])
+        roots = isolate_roots(f)
+        assert len(roots) == 2
+        assert roots[0].lo < F(1, 3) < roots[0].hi <= roots[1].lo
+        assert roots[1].lo < F(1, 3) + gap < roots[1].hi
 
     def test_refinement_stability(self):
         roots = isolate_roots(UniPoly([-2, 0, 1]))
