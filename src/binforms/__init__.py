@@ -4,7 +4,6 @@ real-root and symmetric linear algebra machinery."""
 
 from .errors import (
     BinformsError,
-    BudgetExhaustedError,
     DegenerateRepresentationError,
     DegreeMismatchError,
     DimensionMismatchError,
@@ -40,10 +39,7 @@ from .realroots import (
     RatInterval,
     RealAlgebraic,
     UniPoly,
-    count_real_roots,
-    isolate_roots,
     sign_at,
-    squarefree_part,
 )
 from .quadforms import (
     HankelMatrix,

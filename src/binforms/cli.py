@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import List, Optional
 
 from . import engine, jsonio
@@ -19,9 +20,6 @@ from .engine import (
     JUMP_NONE,
     SearchConfig,
     SignatureReport,
-    SweepResult,
-    SweepRow,
-    jump_direction,
     real_length,
     sign_change_certificate,
     signature_report,
@@ -56,12 +54,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         help="output mode (default text)",
     )
     p.add_argument(
-        "--precision",
-        type=int,
-        default=int(_env("PRECISION", 256)),
-        help="interval refinement budget in bisection steps",
-    )
-    p.add_argument(
         "--search-budget",
         type=int,
         default=int(_env("SEARCH_BUDGET", 10_000)),
@@ -80,7 +72,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=int(_env("JOBS", 1)),
-        help="parallel workers for sweep rows",
+        help="parallel workers for sweep reports, at most one per report",
     )
     p.add_argument(
         "--filter",
@@ -91,7 +83,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _config(args) -> SearchConfig:
     return SearchConfig(
-        precision_steps=args.precision,
         search_budget=args.search_budget,
         denom_bound=args.denom_bound,
         seed=args.seed,
@@ -251,15 +242,6 @@ def cmd_verify(args) -> int:
     return EXIT_ERROR
 
 
-def _sweep_worker(family_text: str, param_text: str, config: SearchConfig):
-    family = parse_family(family_text)
-    param = parse_fraction(param_text)
-    try:
-        return signature_report(family(param), config), None
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def cmd_sweep(args) -> int:
     try:
         family = parse_family(args.family)
@@ -272,25 +254,9 @@ def cmd_sweep(args) -> int:
         print("error: empty grid", file=sys.stderr)
         return EXIT_ERROR
     config = _config(args)
-    if args.jobs > 1:
-        params = [str(t) for t in grid] + ([str(limit)] if limit is not None else [])
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(_sweep_worker, [args.family] * len(params), params, [config] * len(params))
-            )
-        if limit is not None:
-            limit_report, limit_error = results.pop()
-        else:
-            limit_report, limit_error = None, None
-        rows = []
-        for t, (rep, err) in zip(grid, results):
-            flag = JUMP_NONE
-            if err is None and limit_report is not None:
-                flag = jump_direction(rep.signature_set(), limit_report.signature_set())
-            rows.append(SweepRow(t, rep, err, flag))
-        result = SweepResult(tuple(rows), limit, limit_report, limit_error)
-    else:
-        result = engine.sweep(family, grid, limit, config)
+    workers = min(args.jobs, len(grid) + (limit is not None))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        result = engine.sweep(family, grid, limit, config, pool)
     if args.output == "json":
         _emit_json(jsonio.sweep_to_json(result))
     else:

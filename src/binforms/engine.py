@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -83,9 +84,8 @@ CERT_INTERVALS = "certified-intervals"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets for the search and refinement layers; all defaults CLI-overridable."""
+    """Budgets for the search layer; all defaults CLI-overridable."""
 
-    precision_steps: int = 256
     search_budget: int = 10_000
     denom_bound: int = 12
     seed: int = 0
@@ -220,9 +220,7 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
 # ---------------------------------------------------------------------------
 
 
-def solve_coefficients(
-    p: BinaryForm, sylv: SylvesterForm, precision_steps: int = 256
-) -> DecompResult:
+def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
     """Solve p = sum_k lambda_k (alpha_k x + beta_k y)^d for the roots of a
     validated Sylvester form.
 
@@ -352,26 +350,17 @@ def _mod_inverse(a: UniPoly, mod: UniPoly) -> UniPoly:
 
 
 def _charpoly_of_mod(g: UniPoly, modulus: UniPoly) -> UniPoly:
-    """Characteristic polynomial of multiplication by g in Q[t]/(modulus)."""
+    """Characteristic polynomial of multiplication by g in Q[t]/(modulus).
+
+    Column j of the matrix is t^j g rem modulus, stepped b <- (t b) rem modulus.
+    """
     n = modulus.degree
-    comp = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        comp[i][i - 1] = Fraction(1)
-    for i in range(n):
-        comp[i][n - 1] -= modulus.coeffs[i]
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(g.coeffs or (Fraction(0),)):
-        acc = _mat_mul(acc, comp)
-        for i in range(n):
-            acc[i][i] += c
-    return charpoly_general(acc)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
+    cols = []
+    b = g.rem(modulus)
+    for _ in range(n):
+        cols.append(b.coeffs + (Fraction(0),) * (n - len(b.coeffs)))
+        b = b.shift_up(1).rem(modulus)
+    return charpoly_general(list(zip(*cols)))
 
 
 def _isolate_value(g: UniPoly, gamma: RealAlgebraic, defining: UniPoly) -> Scalar:
@@ -403,10 +392,10 @@ def fallback_sylvester(d: int) -> SylvesterForm:
     return validate_sylvester(coeffs, d + 1)
 
 
-def vandermonde_rep(p: BinaryForm, precision_steps: int = 256) -> DecompResult:
+def vandermonde_rep(p: BinaryForm) -> DecompResult:
     """Always-available decomposition through the d+1 pairwise distinct
     powers x^d, (x + y)^d, ..., (x + d y)^d."""
-    return solve_coefficients(p, fallback_sylvester(p.degree), precision_steps)
+    return solve_coefficients(p, fallback_sylvester(p.degree))
 
 
 def _conv(a, b):
@@ -649,22 +638,22 @@ def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthR
             except SylvesterRejectionError:
                 excluded[r] = True
                 continue
-            result = solve_coefficients(p, sylv, config.precision_steps)
+            result = solve_coefficients(p, sylv)
             break
         if dim == 2:
             wits = decide_pencil(basis[0], basis[1], r)
             if wits:
-                result = solve_coefficients(p, wits[0], config.precision_steps)
+                result = solve_coefficients(p, wits[0])
                 break
             excluded[r] = True
             continue
         found, exhausted = _search_high_dim(p, r, basis, config, rng)
         if found:
-            result = solve_coefficients(p, found[0], config.precision_steps)
+            result = solve_coefficients(p, found[0])
             break
         excluded[r] = False
     if result is None:
-        result = vandermonde_rep(p, config.precision_steps)
+        result = vandermonde_rep(p)
     upper = result.rep.length
     conclusive = all(excluded.get(rr) is True for rr in range(1, upper))
     if conclusive:
@@ -734,7 +723,7 @@ def badge_search(
         if sylv.coeffs in seen:
             continue
         seen.add(sylv.coeffs)
-        dec = solve_coefficients(p, sylv, config.precision_steps)
+        dec = solve_coefficients(p, sylv)
         decomps.append(dec)
         badges.add(dec.badge)
         if odd_symmetric:
@@ -749,15 +738,8 @@ def badge_search(
 
 def real_linear_factor_count(p: BinaryForm) -> int:
     """Number of real linear factors of p, counting multiplicity."""
-    if p.is_zero:
-        raise ZeroFormError("zero form")
-    k = next(j for j in range(p.degree + 1) if p.coeffs[j] != 0)
-    q = p.dehomogenized()
-    total = k
-    if q.degree > 0:
-        for factor, mult in q.multiplicity_profile():
-            total += mult * factor.count_real_roots()
-    return total
+    k, profile = root_profile(p)
+    return k + sum(mult * count for _, mult, count in profile)
 
 
 def root_profile(p: BinaryForm):
@@ -1086,29 +1068,40 @@ class SweepResult:
     limit_error: Optional[str]
 
 
+def _sweep_report(
+    family: Callable[[Fraction], BinaryForm], t: Fraction, config: SearchConfig
+) -> Tuple[Optional[SignatureReport], Optional[str]]:
+    """The signature report of family(t), or the error it raised as text."""
+    try:
+        return signature_report(family(t), config), None
+    except Exception as exc:  # per-row errors are embedded, never fatal
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def sweep(
     family: Callable[[Fraction], BinaryForm],
     grid: Sequence[Fraction],
     limit: Optional[Fraction] = None,
     config: SearchConfig = SearchConfig(),
+    executor: Optional[Executor] = None,
 ) -> SweepResult:
-    """Per-parameter signature reports plus the limit form, with jump flags."""
-    limit_report = None
-    limit_error = None
+    """Per-parameter signature reports plus the limit form, with jump flags.
+
+    Every report, the limit's included, comes from one `map` over
+    `_sweep_report`: the executor's if one is given (the family must then
+    pickle), else the builtin.
+    """
+    params = [Fraction(t) for t in grid]
     if limit is not None:
-        try:
-            limit_report = signature_report(family(Fraction(limit)), config)
-        except Exception as exc:  # per-row errors are embedded, never fatal
-            limit_error = f"{type(exc).__name__}: {exc}"
+        params.append(Fraction(limit))
+    mapper = map if executor is None else executor.map
+    n = len(params)
+    results = list(mapper(_sweep_report, [family] * n, params, [config] * n))
+    limit_report, limit_error = results.pop() if limit is not None else (None, None)
     rows = []
-    for t in grid:
-        t = Fraction(t)
-        try:
-            rep = signature_report(family(t), config)
-            flag = JUMP_NONE
-            if limit_report is not None:
-                flag = jump_direction(rep.signature_set(), limit_report.signature_set())
-            rows.append(SweepRow(t, rep, None, flag))
-        except Exception as exc:
-            rows.append(SweepRow(t, None, f"{type(exc).__name__}: {exc}", JUMP_NONE))
+    for t, (rep, err) in zip(params, results):
+        flag = JUMP_NONE
+        if rep is not None and limit_report is not None:
+            flag = jump_direction(rep.signature_set(), limit_report.signature_set())
+        rows.append(SweepRow(t, rep, err, flag))
     return SweepResult(tuple(rows), limit, limit_report, limit_error)

@@ -45,10 +45,6 @@ class PrecisionExhaustedError(BinformsError):
     """Refinement budget spent before the requested tolerance was met."""
 
 
-class BudgetExhaustedError(BinformsError):
-    """Search budget spent before a conclusive answer."""
-
-
 class NotIncomparableError(BinformsError):
     """Badge pair is comparable where an incomparable pair is required."""
 

@@ -125,7 +125,7 @@ def _fx_sextic_identity_decomp(cfg):
     p = parse_form("3024*x^5*y + 108864*x*y^5")
     coeffs = [F(0), F(36), F(-60), F(25), F(0), F(-1)]
     sylv = validate_sylvester(coeffs, 5)
-    dec = solve_coefficients(p, sylv, cfg.precision_steps)
+    dec = solve_coefficients(p, sylv)
     return _check(
         dec.rep == _sextic_identity_rep() and dec.certification == engine.CERT_EXACT,
         f"badge {dec.badge}",
@@ -427,7 +427,7 @@ def _fx_splitting_products(cfg):
 
 def _fx_vandermonde(cfg):
     p = parse_form("8*x^4 + 48*x^2*y^2 - 8*y^4")
-    dec = vandermonde_rep(p, cfg.precision_steps)
+    dec = vandermonde_rep(p)
     return _check(
         expand_exact(dec.rep) == p and dec.rep.is_honest(),
         f"{dec.rep.length} terms, badge {dec.badge}",
@@ -476,7 +476,7 @@ def _fx_certified_identity(cfg):
         ),
     )
     target = circle_power(2).scale(F(3, 8))
-    cf = expand_certified(rep, F(1, 10**30), max(cfg.precision_steps, 256))
+    cf = expand_certified(rep, F(1, 10**30))
     return _check(
         cf.encloses(target) and cf.max_width < F(1, 10**30),
         f"max width {float(cf.max_width):.2e}",

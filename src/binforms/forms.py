@@ -45,9 +45,6 @@ class Badge:
         """Componentwise partial order: self <= other in both coordinates."""
         return self.pos <= other.pos and self.neg <= other.neg
 
-    def strictly_precedes(self, other: "Badge") -> bool:
-        return self.precedes(other) and self != other
-
     @property
     def total(self) -> int:
         return self.pos + self.neg
@@ -466,7 +463,23 @@ def parse_form(text: str) -> BinaryForm:
     return _monomials_to_form(mono)
 
 
-def parse_family(text: str):
+@dataclass(frozen=True)
+class Family:
+    """A form with one rational parameter t: calling it with a value of t
+    gives the BinaryForm.  It holds only its monomials, so it pickles."""
+
+    monomials: Tuple[Tuple[Tuple[int, int, int], Fraction], ...]
+
+    def __call__(self, tval) -> BinaryForm:
+        tval = Fraction(tval)
+        out = {}
+        for (i, j, k), v in self.monomials:
+            key = (i, j, 0)
+            out[key] = out.get(key, Fraction(0)) + v * tval**k
+        return _monomials_to_form(out)
+
+
+def parse_family(text: str) -> Family:
     """Parse a form with one rational parameter t; returns value -> BinaryForm.
 
     Homogeneity in x, y is required monomial by monomial, independent of t.
@@ -475,16 +488,7 @@ def parse_family(text: str):
     degrees = {i + j for (i, j, _) in mono}
     if len(degrees) > 1:
         raise NotHomogeneousError(f"mixed total degrees {sorted(degrees)}")
-
-    def instantiate(tval) -> BinaryForm:
-        tval = Fraction(tval)
-        out = {}
-        for (i, j, k), v in mono.items():
-            key = (i, j, 0)
-            out[key] = out.get(key, Fraction(0)) + v * tval**k
-        return _monomials_to_form({k: v for k, v in out.items()})
-
-    return instantiate
+    return Family(tuple(mono.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,6 @@ def form_to_json(p: BinaryForm) -> Dict[str, Any]:
     }
 
 
-def form_from_json(obj: Dict[str, Any]) -> BinaryForm:
-    degree = int(obj["degree"])
-    coeffs = [parse_fraction(c) for c in obj["binomial_coeffs"]]
-    return BinaryForm(degree, tuple(coeffs))
-
-
 def badge_to_json(b: Badge) -> Dict[str, int]:
     return {"pos": b.pos, "neg": b.neg}
 

@@ -55,14 +55,6 @@ class UniPoly:
         out._sqf = _SELF
         return out
 
-    @staticmethod
-    def const(c) -> "UniPoly":
-        return UniPoly([c])
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -601,12 +593,6 @@ class RealAlgebraic:
                 lo, s_lo = mid, s_mid
         return RealAlgebraic(f, lo, hi)
 
-    def refined_below(self, width: Fraction) -> "RealAlgebraic":
-        cur = self
-        while cur.width >= width:
-            cur = cur.refined()
-        return cur
-
     # -- exact predicates --------------------------------------------------
 
     def sign(self) -> int:
@@ -766,17 +752,3 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     inner = simplest_between(1 / (b - fa), 1 / (a - fa))
     return fa + 1 / inner
 
-
-def squarefree_part(f: UniPoly) -> UniPoly:
-    """Primitive integer polynomial with the same roots as f, all simple."""
-    return f.squarefree_part()
-
-
-def count_real_roots(
-    f: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None
-) -> int:
-    return f.count_real_roots(lo, hi)
-
-
-def isolate_roots(f: UniPoly):
-    return RealAlgebraic.isolate(f)

@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from binforms import cli
 from binforms.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
@@ -86,6 +88,12 @@ class TestDecompose:
         )
         assert code == 0
         validate(json.loads(out), "decompose")
+
+    def test_precision_flag_rejected(self, capsys):
+        # no refinement loop read --precision, so the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "x^4", "--precision", "3"])
+        assert exc.value.code == 2
 
 
 REP_JSON = {
@@ -195,22 +203,46 @@ class TestSweep:
         assert code == 0
         validate(json.loads(out), "sweep")
 
-    def test_parallel_rows_match_serial(self, capsys):
-        argv = [
-            "sweep",
-            "--family",
-            "6*x^5*y + 20*t*x^3*y^3 + 6*x*y^5",
-            "--grid",
-            "1/2,1,2",
-            "--limit",
-            "0",
-            "-o",
-            "json",
-        ]
+    @pytest.mark.parametrize(
+        "family, grid, limit, want",
+        [
+            ("6*x^5*y + 20*t*x^3*y^3 + 6*x*y^5", "1/2,1,2", "0", 0),
+            ("t*x^2 + t*y^2", "0,1", "0", 1),  # a row error and a limit error
+        ],
+        ids=["sextic", "errors"],
+    )
+    def test_parallel_rows_match_serial(self, capsys, family, grid, limit, want):
+        argv = ["sweep", "--family", family, "--grid", grid, "--limit", limit, "-o", "json"]
         code1, serial, _ = run(capsys, *argv)
         code2, parallel, _ = run(capsys, *argv, "--jobs", "2")
-        assert code1 == code2 == 0
+        assert code1 == code2 == want
         assert serial == parallel
+
+    def test_jobs_capped_at_report_count(self, capsys, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        family = ["sweep", "--family", "t*x^4 + 6*x^2*y^2 + t*y^4", "-o", "json"]
+        code, capped, _ = run(capsys, *family, "--grid", "1,2", "--jobs", "64")
+        assert code == 0 and pools == [2]
+        code, _, _ = run(capsys, *family, "--grid", "1,2", "--limit", "0", "--jobs", "64")
+        assert code == 0 and pools == [2, 3]
+        code, _, _ = run(capsys, *family, "--grid", "1", "--jobs", "64")
+        assert code == 0 and pools == [2, 3]  # one report: no pool
+        assert run(capsys, *family, "--grid", "1,2")[1] == capped
 
     def test_row_error_embedded(self, capsys):
         code, out, _ = run(

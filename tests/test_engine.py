@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 import binforms.engine as engine
 
@@ -17,6 +18,7 @@ from binforms import (
     ProjLinearForm,
     SearchConfig,
     SylvesterRejectionError,
+    UniPoly,
     badge_search,
     catalecticant,
     decide_pencil,
@@ -195,6 +197,25 @@ class TestSolve:
         assert dec.certification == "certified-intervals"
         cf = expand_certified(dec.rep, F(1, 10**20), 300)
         assert cf.encloses(q2)
+
+    def test_charpoly_of_mod_is_resultant(self):
+        # for monic m, chi(z) = Res_t(m, z - g) = prod over m(theta) = 0 of (z - g(theta)),
+        # the Sylvester determinant (sympy.resultant can differ in sign when deg g > deg m)
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        t, z = sympy.symbols("t z")
+        to_t = lambda f: sum(sympy.Rational(c) * t**i for i, c in enumerate(f.coeffs))
+        rng = random.Random(23)
+        rand = lambda n: [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+        cases = []
+        for n in range(1, 5):
+            m = UniPoly(rand(n) + [1])
+            cases += [(UniPoly(rand(n + 3)), m), (UniPoly(rand(1)), m), (UniPoly(), m)]
+            cases.append((UniPoly(rand(n) + [F(rng.randint(1, 9))]), m))  # deg g = deg m
+        for g, m in cases:
+            want = sympy.Poly(sylvester(to_t(m), z - to_t(g), t).det(), z)
+            got = engine._charpoly_of_mod(g, m)
+            assert [sympy.Rational(c) for c in reversed(got.coeffs)] == want.all_coeffs()
 
 
 class TestRealLength:
@@ -463,6 +484,20 @@ class TestSweep:
         res = sweep(fam, [F(0), F(1, 2)], None, FAST)
         assert res.rows[0].error is not None
         assert res.rows[1].report is not None
+
+    def test_one_map_call_over_grid_and_limit(self):
+        calls = []
+
+        class RecordingExecutor:
+            def map(self, fn, *iterables):
+                calls.append([list(it) for it in iterables])
+                return map(fn, *calls[-1])
+
+        grid = [F(1, 2), F(1, 4)]
+        res = sweep(quartic_jump_family, grid, F(0), FAST, RecordingExecutor())
+        assert len(calls) == 1
+        assert calls[0][1] == [F(1, 2), F(1, 4), F(0)]
+        assert res == sweep(quartic_jump_family, grid, F(0), FAST)
 
 
 class TestDecompResultInvariants:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -287,6 +288,12 @@ class TestFamilyParse:
         fam = parse_family("6*x^5*y + 20*t*x^3*y^3 + 6*x*y^5")
         assert fam(F(1)) == parse_form("6*x^5*y + 20*x^3*y^3 + 6*x*y^5")
         assert fam(F(0)) == parse_form("6*x^5*y + 6*x*y^5")
+
+    def test_pickles(self):
+        fam = parse_family("6*x^5*y + 20*t*x^3*y^3 + t^2*x*y^5 - 1/3*t*y^6")
+        copy = pickle.loads(pickle.dumps(fam))
+        for t in (F(-2), F(0), F(1, 3), F(7, 2)):
+            assert copy(t) == fam(t)
 
     def test_parameter_rejected_in_plain_form(self):
         with pytest.raises(FormSyntaxError):

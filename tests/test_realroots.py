@@ -11,13 +11,10 @@ from binforms.errors import ZeroPolynomialError
 from binforms.realroots import (
     RealAlgebraic,
     UniPoly,
-    count_real_roots,
     deflate_rational_roots,
-    isolate_roots,
     rational_roots,
     sign_at,
     scalar_cmp,
-    squarefree_part,
     sturm_count,
 )
 
@@ -58,21 +55,21 @@ class TestUniPoly:
         with pytest.raises(ZeroPolynomialError):
             UniPoly().squarefree_part()
         with pytest.raises(ZeroPolynomialError):
-            count_real_roots(UniPoly())
+            UniPoly().count_real_roots()
 
 
 class TestSquarefree:
     def test_power(self):
-        assert squarefree_part(UniPoly([0, 0, 0, 0, 1])).coeffs == (0, 1)
+        assert UniPoly([0, 0, 0, 0, 1]).squarefree_part().coeffs == (0, 1)
 
     def test_product(self):
         f = UniPoly([-1, 0, 1]) * UniPoly([-1, 1])
-        sf = squarefree_part(f)
+        sf = f.squarefree_part()
         assert sf.monic().coeffs == (1, 0, -1)[::-1] or sf.monic() == UniPoly([-1, 0, 1]).monic()
 
     def test_already_squarefree(self):
         f = UniPoly([1, 0, 1])
-        assert squarefree_part(f).monic() == f.monic()
+        assert f.squarefree_part().monic() == f.monic()
 
     def test_memoized_without_self_reference(self):
         f = UniPoly([-2, 0, 1])
@@ -99,18 +96,18 @@ class TestSquarefree:
 class TestCounting:
     def test_cofactor_quartic(self):
         f = UniPoly([1, 0, F(-10, 3), 0, 1])
-        assert count_real_roots(f) == 4
+        assert f.count_real_roots() == 4
 
     def test_definite(self):
-        assert count_real_roots(UniPoly([1, 0, 1])) == 0
+        assert UniPoly([1, 0, 1]).count_real_roots() == 0
 
     def test_interval(self):
-        assert count_real_roots(UniPoly([-2, 0, 1]), F(0), F(2)) == 1
+        assert UniPoly([-2, 0, 1]).count_real_roots(F(0), F(2)) == 1
 
     def test_interval_endpoints(self):
         f = UniPoly([0, -1, 0, 1])  # t(t-1)(t+1)
-        assert count_real_roots(f, F(-1), F(1)) == 3
-        assert count_real_roots(f, F(0), F(1)) == 2
+        assert f.count_real_roots(F(-1), F(1)) == 3
+        assert f.count_real_roots(F(0), F(1)) == 2
 
     def test_repeated_roots_counted_once(self):
         rng = random.Random(19)
@@ -123,7 +120,7 @@ class TestCounting:
                 for _ in range(rng.randint(1, 3)):
                     f = f * UniPoly([-v, 1])
             f = f * UniPoly([rng.randint(1, 5), 0, 1])  # no real roots
-            assert count_real_roots(f) == len(distinct)
+            assert f.count_real_roots() == len(distinct)
             g = f.gcd(f.derivative())
             assert f.sturm_chain()[-1].monic() == g
 
@@ -133,7 +130,7 @@ class TestCounting:
             f = random_poly(rng, rng.randint(1, 6))
             expected = len(sympy.Poly(to_sympy(f), T).real_roots())
             distinct = len(set(sympy.Poly(to_sympy(f), T).real_roots()))
-            assert count_real_roots(f) == distinct
+            assert f.count_real_roots() == distinct
 
     def test_interval_counts_against_sympy(self):
         rng = random.Random(41)
@@ -168,7 +165,7 @@ class TestCounting:
                 None if lo is None else sympy.Rational(lo),
                 None if hi is None else sympy.Rational(hi),
             )
-            assert count_real_roots(f, lo, hi) == want, (f, lo, hi)
+            assert f.count_real_roots(lo, hi) == want, (f, lo, hi)
 
     def test_chain_built_once(self, monkeypatch):
         calls = []
@@ -180,7 +177,7 @@ class TestCounting:
 
         monkeypatch.setattr(realroots, "_int_sturm_chain", counted)
         f = UniPoly([2, -4, 0, 0, 0, 1])  # t^5 - 4t + 2: three real roots, irreducible
-        cur = isolate_roots(f)[1]
+        cur = RealAlgebraic.isolate(f)[1]
         for step in range(50):
             cur = cur.refined()
             if step % 5 == 0:
@@ -254,14 +251,14 @@ class TestIntegerSturmChain:
 class TestIsolation:
     def test_sqrt2(self):
         f = UniPoly([-2, 0, 1])
-        roots = isolate_roots(f)
+        roots = RealAlgebraic.isolate(f)
         assert len(roots) == 2
         assert roots[0].sign() == -1 and roots[1].sign() == 1
         for r in roots:
             assert f(r.lo) * f(r.hi) < 0
 
     def test_rational_roots_bracketed(self):
-        roots = isolate_roots(UniPoly([0, -1, 0, 1]))
+        roots = RealAlgebraic.isolate(UniPoly([0, -1, 0, 1]))
         assert len(roots) == 3
         for r, val in zip(roots, (-1, 0, 1)):
             assert r.lo < val < r.hi
@@ -273,23 +270,23 @@ class TestIsolation:
             f = UniPoly([1])
             for v in vals:
                 f = f * UniPoly([-v, 1])
-            roots = isolate_roots(f)
+            roots = RealAlgebraic.isolate(f)
             assert len(roots) == len(vals)
             for r, v in zip(roots, sorted(vals)):
                 assert r.lo < v < r.hi
-            assert count_real_roots(f) == len(vals)
+            assert f.count_real_roots() == len(vals)
 
     def test_clustered_roots(self):
         # 1/3 and 1/3 + 2^-1200 split only after about 1200 bisections
         gap = F(1, 2**1200)
         f = UniPoly([-1, 3]) * UniPoly([-(F(1, 3) + gap), 1])
-        roots = isolate_roots(f)
+        roots = RealAlgebraic.isolate(f)
         assert len(roots) == 2
         assert roots[0].lo < F(1, 3) < roots[0].hi <= roots[1].lo
         assert roots[1].lo < F(1, 3) + gap < roots[1].hi
 
     def test_refinement_stability(self):
-        roots = isolate_roots(UniPoly([-2, 0, 1]))
+        roots = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))
         pos = roots[1]
         finer = pos.refined(30)
         assert pos.lo <= finer.lo <= finer.hi <= pos.hi
@@ -299,15 +296,15 @@ class TestIsolation:
 
 class TestSignAt:
     def test_shared_root(self):
-        root2 = isolate_roots(UniPoly([-2, 0, 1]))[1]
+        root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
         assert sign_at(UniPoly([-2, 0, 1]), root2) == 0
 
     def test_positive(self):
-        root2 = isolate_roots(UniPoly([-2, 0, 1]))[1]
+        root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
         assert sign_at(UniPoly([0, 1]), root2) == 1
 
     def test_cube(self):
-        root2 = isolate_roots(UniPoly([-2, 0, 1]))[1]
+        root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
         assert sign_at(UniPoly([-2, 0, 0, 1]), root2) == 1
         assert sign_at(UniPoly([-2, 0, 0, -1]), root2) == -1
 
@@ -361,7 +358,7 @@ class TestAlgebraicArithmetic:
         assert sign_at(UniPoly([-18, 0, 1]), threeroot2) == 0
 
     def test_sign_of_zero(self):
-        zero_root = isolate_roots(UniPoly([0, -1, 0, 1]))[1]
+        zero_root = RealAlgebraic.isolate(UniPoly([0, -1, 0, 1]))[1]
         assert zero_root.sign() == 0
 
 
