@@ -2,7 +2,8 @@
 
 Exit codes: 0 conclusive/pass, 1 error or mismatch, 2 invalid input
 (odd degree or zero form), 3 inconclusive within the given budgets.
-Every flag can also be set through a BINFORMS_* environment variable.
+Each subcommand takes only the flags it reads; all but sweep's --family,
+--grid and --limit can also be set through a BINFORMS_* environment variable.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def _env(name: str, default):
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand."""
     p.add_argument(
         "--output",
         "-o",
@@ -54,39 +56,28 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         help="output mode (default text)",
     )
     p.add_argument(
+        "--jobs",
+        type=int,
+        default=int(_env("JOBS", 1)),
+        help="parallel workers for sweep reports, at most one per report",
+    )
+
+
+def _search_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that search for decompositions."""
+    p.add_argument(
         "--search-budget",
         type=int,
         default=int(_env("SEARCH_BUDGET", 10_000)),
         help="candidate budget per representation degree",
     )
     p.add_argument(
-        "--denom-bound",
-        type=int,
-        default=int(_env("DENOM_BOUND", 12)),
-        help="denominator bound for rational search grids",
-    )
-    p.add_argument(
         "--seed", type=int, default=int(_env("SEED", 0)), help="search RNG seed"
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(_env("JOBS", 1)),
-        help="parallel workers for sweep reports, at most one per report",
-    )
-    p.add_argument(
-        "--filter",
-        default=_env("FILTER", ""),
-        help="substring filter on fixture ids and anchors",
     )
 
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(
-        search_budget=args.search_budget,
-        denom_bound=args.denom_bound,
-        seed=args.seed,
-    )
+    return SearchConfig(search_budget=args.search_budget, seed=args.seed)
 
 
 def _emit_json(obj) -> None:
@@ -326,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="length bounds and signature set")
     p_an.add_argument("form", help="form text, e.g. 'x^4 + y^4'")
     _common_flags(p_an)
+    _search_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_de = sub.add_parser("decompose", help="power-sum decomposition")
     p_de.add_argument("form")
     _common_flags(p_de)
+    _search_flags(p_de)
     p_de.set_defaults(func=cmd_decompose)
 
     p_ve = sub.add_parser("verify", help="check a representation against a form")
@@ -344,10 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--grid", required=True, help="comma-separated rationals")
     p_sw.add_argument("--limit", default=None, help="limit parameter value")
     _common_flags(p_sw)
+    _search_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_fx = sub.add_parser("fixtures", help="run the built-in identity corpus")
+    p_fx.add_argument(
+        "--filter",
+        default=_env("FILTER", ""),
+        help="substring filter on fixture ids and anchors",
+    )
     _common_flags(p_fx)
+    _search_flags(p_fx)
     p_fx.set_defaults(func=cmd_fixtures)
 
     return parser

@@ -87,7 +87,6 @@ class SearchConfig:
     """Budgets for the search layer; all defaults CLI-overridable."""
 
     search_budget: int = 10_000
-    denom_bound: int = 12
     seed: int = 0
 
 
@@ -494,10 +493,14 @@ def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _u_grid(denom_bound: int, mag: int = 6):
+# Largest denominator of the rationals the searches draw.
+_DENOM_BOUND = 12
+
+
+def _u_grid(mag: int = 6):
     """Rationals ordered by denominator then magnitude, 0 excluded last."""
     seen = set()
-    for den in range(1, max(denom_bound, 1) + 1):
+    for den in range(1, _DENOM_BOUND + 1):
         for num in range(0, mag * den + 1):
             for s in (1, -1):
                 q = Fraction(s * num, den)
@@ -522,7 +525,7 @@ def _structured_candidates(p: BinaryForm, r: int, config: SearchConfig):
         return
     linears = [[1]] if r % 2 == 0 else [[1, 1], [1, -1], [1, 0], [0, 1]]
     for lin in linears:
-        for u in itertools.islice(_u_grid(config.denom_bound), 200):
+        for u in itertools.islice(_u_grid(), 200):
             n, q = u.numerator, u.denominator
             fixed = lin
             for _ in range(nquads - 1):
@@ -572,7 +575,7 @@ def _combination_candidates(basis, config: SearchConfig, rng: random.Random):
                 yield vec
     while True:
         weights = [
-            Fraction(rng.randint(-8, 8), rng.randint(1, config.denom_bound))
+            Fraction(rng.randint(-8, 8), rng.randint(1, _DENOM_BOUND))
             for _ in range(dim)
         ]
         den = lcm(*(w.denominator for w in weights))
@@ -736,23 +739,31 @@ def badge_search(
 # ---------------------------------------------------------------------------
 
 
-def real_linear_factor_count(p: BinaryForm) -> int:
-    """Number of real linear factors of p, counting multiplicity."""
-    k, profile = root_profile(p)
-    return k + sum(mult * count for _, mult, count in profile)
-
-
-def root_profile(p: BinaryForm):
-    """(y-multiplicity, [(squarefree factor, multiplicity, real root count)])."""
+def _y_multiplicity(p: BinaryForm) -> int:
+    """The power of y that divides the nonzero form p."""
     if p.is_zero:
         raise ZeroFormError("zero form")
-    k = next(j for j in range(p.degree + 1) if p.coeffs[j] != 0)
+    return next(j for j, c in enumerate(p.coeffs) if c != 0)
+
+
+def real_linear_factor_count(p: BinaryForm) -> int:
+    """Number of real linear factors of p, counting multiplicity.
+
+    The power of y plus the real roots of q = p(t, 1) with multiplicity: a
+    root of multiplicity m is a root of each of q, gcd(q, q'), ... up to the
+    m-th, so the Sturm counts of that tower add up to the total.  Each gcd
+    is the last entry of the previous Sturm chain.
+    """
+    k = _y_multiplicity(p)
     q = p.dehomogenized()
-    profile = []
-    if q.degree > 0:
-        for factor, mult in q.multiplicity_profile():
-            profile.append((factor, mult, factor.count_real_roots()))
-    return k, profile
+    if q.degree <= 0:
+        return k
+    chain = q._int_chain()
+    count = k + _int_sturm_count(chain)
+    while len(chain[-1]) > 1:
+        chain = _int_sturm_chain(chain[-1])
+        count += _int_sturm_count(chain)
+    return count
 
 
 def splits_over_reals(p: BinaryForm) -> bool:
@@ -762,12 +773,10 @@ def splits_over_reals(p: BinaryForm) -> bool:
 
 def is_power_of_linear(p: BinaryForm) -> bool:
     """True iff p = c * (linear form)^d."""
-    k, profile = root_profile(p)
+    k = _y_multiplicity(p)
     if k == p.degree:
         return True
-    if k > 0:
-        return False
-    return len(profile) == 1 and profile[0][0].degree == 1 and profile[0][1] == p.degree
+    return k == 0 and p.dehomogenized().squarefree_part().degree == 1
 
 
 def sign_change_certificate(
@@ -803,10 +812,15 @@ def signature_lower_bound(p: BinaryForm) -> Badge:
         raise ZeroFormError("zero form")
     if p.degree % 2 != 0:
         raise OddDegreeError("even degree required")
-    inert = inertia(catalecticant(p))
+    split_non_power = splits_over_reals(p) and not is_power_of_linear(p)
+    return _lower_bound(inertia(catalecticant(p)), p.degree // 2, split_non_power)
+
+
+def _lower_bound(inert: Inertia, s: int, split_non_power: bool) -> Badge:
+    """The lower bound badge from the catalecticant inertia and whether the
+    form splits over R without being a power of one linear form."""
     pos, neg = inert.pos, inert.neg
-    s = p.degree // 2
-    if splits_over_reals(p) and not is_power_of_linear(p):
+    if split_non_power:
         pos, neg = max(pos, s), max(neg, s)
     return Badge(pos, neg)
 
@@ -892,7 +906,8 @@ def signature_report(
     nsd = inert.pos == 0
     cone = CONE_POS if psd else (CONE_NEG if nsd else CONE_NONE)
     splits = splits_over_reals(p)
-    lower_bound = signature_lower_bound(p)
+    split_non_power = splits and not is_power_of_linear(p)
+    lower_bound = _lower_bound(inert, s, split_non_power)
 
     def report(sigs, status, complete, tags, ll, lu, lc, witness=None):
         badges = set(sigs)
@@ -943,7 +958,7 @@ def signature_report(
             rank,
             True,
         )
-    if splits and not is_power_of_linear(p):
+    if split_non_power:
         return report(
             {Badge(s, s)},
             STATUS_PROVEN,

@@ -19,7 +19,7 @@ from .errors import (
     RankOutOfRangeError,
 )
 from .forms import BinaryForm
-from .realroots import UniPoly, _int_homog_eval, _int_primitive, sign_variations
+from .realroots import UniPoly, _int_homog_eval, _int_primitive
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,6 @@ def _newton_interpolate(values: List[int]) -> List[int]:
     return out
 
 
-def charpoly(m: SymMatrix) -> UniPoly:
-    """Characteristic polynomial det(z*I - M), monic, exact."""
-    return charpoly_general(m.entries)
-
-
 def charpoly_general(rows: Sequence[Sequence[Fraction]]) -> UniPoly:
     """det(z*I - A) for a general square rational matrix."""
     n = len(rows)
@@ -339,22 +334,6 @@ def charpoly_general(rows: Sequence[Sequence[Fraction]]) -> UniPoly:
             for i in range(n)
         ]
     )
-
-
-def inertia_from_charpoly(m: SymMatrix) -> Inertia:
-    """Independent oracle: Descartes sign variations of det(tI - M).
-
-    Valid because a symmetric matrix has only real eigenvalues.
-    """
-    chi = charpoly(m)
-    cs = list(chi.coeffs)
-    null = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        null += 1
-    pos = sign_variations(list(reversed(cs)))
-    neg = sign_variations([(-1) ** i * c for i, c in enumerate(reversed(cs))])
-    return Inertia(pos, neg, null)
 
 
 CONE_POS = "p"
@@ -392,12 +371,3 @@ def catalecticant_value(p: BinaryForm, t: Sequence[Fraction]) -> Fraction:
         raise DimensionMismatchError(f"need a vector of length {s + 1}")
     t = [Fraction(v) for v in t]
     return sum(p.coeffs[i + j] * t[i] * t[j] for i in range(s + 1) for j in range(s + 1))
-
-
-def square_linear_combo(t: Sequence[Fraction], s: int) -> BinaryForm:
-    """The form L(t)^2 with L = sum t_i x^(s-i) y^i, used as an oracle."""
-    raw = [Fraction(0)] * (2 * s + 1)
-    for i in range(s + 1):
-        for j in range(s + 1):
-            raw[i + j] += Fraction(t[i]) * Fraction(t[j])
-    return BinaryForm.from_raw(2 * s, raw)

@@ -3,7 +3,10 @@
 Dense rational polynomials, Sturm chains, root counting and isolation,
 rational interval arithmetic, and real algebraic numbers given by a
 squarefree integer defining polynomial plus an isolating interval.
-All answers are exact; no floating point is used anywhere.
+One primitive integer remainder sequence (`_int_prs`) is the only gcd
+path: the Sturm chain of f is the sequence of f and f', and every gcd,
+squarefree part and root multiplicity is read off the last entry of such
+a sequence.  All answers are exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -153,12 +156,6 @@ class UniPoly:
     def rem(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ZeroPolynomialError("division was not exact")
-        return q
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -194,14 +191,14 @@ class UniPoly:
         return (v > 0) - (v < 0)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over the rationals (1 for coprime, 0 only if both zero)."""
+        """Monic gcd over the rationals (1 for coprime, 0 only if both zero):
+        the last entry of the integer remainder sequence, made monic."""
         a, b = self, other
-        while not b.is_zero:
-            r = a.rem(b)
-            a, b = b, (r.primitive_int() if not r.is_zero else UniPoly())
+        if a.is_zero:
+            a, b = b, a
         if a.is_zero:
             return a
-        return a.monic()
+        return UniPoly(_int_prs(a._ints(), [] if b.is_zero else b._ints())[-1]).monic()
 
     def squarefree_part(self) -> "UniPoly":
         """Primitive integer polynomial with the same roots, all simple.
@@ -230,33 +227,6 @@ class UniPoly:
         if (h[-1] > 0) != (f[-1] > 0):
             h = [-c for c in h]
         return UniPoly(h)
-
-    def multiplicity_profile(self):
-        """Yun decomposition: list of (squarefree factor, multiplicity)."""
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial")
-        f = self.monic()
-        if f.degree <= 0:
-            return []
-        d = f.gcd(f.derivative())
-        if d.degree == 0:
-            return [(f, 1)]
-        out = []
-        b = f.exact_div(d)
-        c = f.derivative().exact_div(d)
-        z = c - b.derivative()
-        i = 1
-        while b.degree > 0:
-            a = b.gcd(z) if not z.is_zero else b.monic()
-            if a.degree > 0:
-                out.append((a, i))
-            b = b.exact_div(a)
-            if b.degree == 0:
-                break
-            c = z.exact_div(a)
-            z = c - b.derivative()
-            i += 1
-        return out
 
     def reversed_poly(self) -> "UniPoly":
         """t**deg * f(1/t); drops roots at zero."""
@@ -375,18 +345,30 @@ def _int_exact_div(f, g):
     return q
 
 
-def _int_sturm_chain(f):
-    """Primitive integer Sturm sequence (Collins 1967; Brown-Traub 1971) of
-    a primitive integer coefficient list f (ascending, nonzero)."""
-    chain = [f]
-    if len(f) > 1:
-        chain.append(_int_primitive([i * c for i, c in enumerate(f)][1:]))
-    while len(chain[-1]) > 1:
+def _int_prs(a, b):
+    """Primitive negated pseudo-remainder sequence a, b, -prem(a, b), ...
+    of integer coefficient lists (ascending; a nonzero, b possibly empty),
+    every entry after a made primitive (Collins 1967; Brown-Traub 1971).
+
+    The last entry is gcd(a, b) up to a constant.  Each entry is a positive
+    multiple of the rational Euclidean remainder, negated, so with b = a'
+    this is the Sturm chain of a.
+    """
+    chain = [a]
+    if b:
+        chain.append(_int_primitive(b))
+    while len(chain) > 1 and len(chain[-1]) > 1:
         r = _int_neg_prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_int_primitive(r))
     return chain
+
+
+def _int_sturm_chain(f):
+    """Primitive integer Sturm chain of a primitive integer coefficient list
+    f (ascending, nonzero): the remainder sequence of f and f'."""
+    return _int_prs(f, [i * c for i, c in enumerate(f)][1:])
 
 
 def sign_variations(values) -> int:
@@ -454,9 +436,14 @@ def deflate_rational_roots(f: UniPoly):
     """Split f into (rational roots of the squarefree part, cofactor with no rational roots)."""
     g = f.squarefree_part()
     roots = rational_roots(g)
+    if not roots:
+        return roots, g
+    # By Gauss's lemma each quotient of the primitive g by the primitive
+    # q*t - p is primitive with integer coefficients and the sign of g.
+    cs = g._ints()
     for r in roots:
-        g = g.exact_div(UniPoly([-r, 1]))
-    return roots, (g.primitive_int() if roots else g)
+        cs = _int_exact_div(cs, [-r.numerator, r.denominator])
+    return roots, UniPoly(cs)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from binforms.families import (
     sextic_family_oracle,
     sextic_xy_family,
 )
-from binforms.quadforms import inertia_from_charpoly
 from binforms.realroots import RealAlgebraic, UniPoly
+from oracles import inertia_from_charpoly
 
 CONFIG = SearchConfig(search_budget=2000)
 SMALL = SearchConfig(search_budget=300)

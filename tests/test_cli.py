@@ -96,6 +96,32 @@ class TestDecompose:
         assert exc.value.code == 2
 
 
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "x^4 + y^4", "--filter", "x"],
+            ["verify", "-", "x^4", "--seed", "1"],
+            ["verify", "-", "x^4", "--search-budget", "5"],
+            ["decompose", "x^4", "--denom-bound", "5"],
+            ["fixtures", "--denom-bound", "5"],
+        ],
+        ids=["analyze-filter", "verify-seed", "verify-budget", "denom-bound", "fixtures-denom-bound"],
+    )
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_jobs_accepted_everywhere(self, capsys, tmp_path):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(REP_JSON))
+        code, _, _ = run(capsys, "verify", str(path), "24*y^4", "--jobs", "1")
+        assert code == 0
+        code, _, _ = run(capsys, "fixtures", "--filter", "thm-4.4", "--jobs", "1")
+        assert code == 0
+
+
 REP_JSON = {
     "degree": 4,
     "terms": [

@@ -22,14 +22,9 @@ from binforms import (
     width,
 )
 from binforms.engine import _resultant_t
-from binforms.quadforms import (
-    charpoly,
-    charpoly_general,
-    det_poly_matrix,
-    inertia_from_charpoly,
-    square_linear_combo,
-)
+from binforms.quadforms import charpoly_general, det_poly_matrix
 from binforms.realroots import UniPoly
+from oracles import charpoly, inertia_from_charpoly, square_linear_combo
 
 Z = sympy.Symbol("z")
 
