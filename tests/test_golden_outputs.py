@@ -1,0 +1,51 @@
+"""Byte-for-byte JSON output of a few fast CLI calls, one per output path:
+an exact and a certified decomposition, the degree-8 reference pencil of the
+benchmark corpus, an analysis, a verification and a fixture.  A change that
+alters any byte of these must say why and regenerate the goldens with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from binforms.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; every call exits 0 and prints JSON.
+CASES = {
+    "decompose-exact": ["decompose", "(x+y)^6 + 2*(x-y)^6 - 3*(x+2*y)^6"],
+    "decompose-certified": ["decompose", "6*x^5*y + 40*x^3*y^3 + 6*x*y^5"],
+    "decompose-pencil-d8": [
+        "decompose",
+        "7*(x + 3*y)^8 + 8*(x + 4*y)^8 + 4*(x - 8*y)^8 - 5*(x - 1*y)^8 - 2*(x + 6*y)^8",
+    ],
+    "analyze-sextic-family": ["analyze", "6*x^5*y - 4*x^3*y^3 + 6*x*y^5"],
+    "verify-readme": ["verify", str(GOLDEN / "verify-rep.json"), "24*y^4"],
+    "fixture-certified-circle": ["fixtures", "--filter", "certified-circle-identity"],
+}
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*argv, "--output", "json"])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_unchanged(name):
+    code, out = _stdout(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        code, out = _stdout(argv)
+        assert code == 0, name
+        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
