@@ -295,10 +295,11 @@ def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
         scaled_poly = (lam_poly.shift_up(d)).rem(cofm)  # lambda * gamma^d
         zero_part = npoly.gcd(cofm)
         chi = _charpoly_of_mod(scaled_poly, cofm).squarefree_part()
+        chi_roots = RealAlgebraic.isolate(chi)
         for gamma in algebraic_roots:
             if zero_part.degree > 0 and zero_part.count_real_roots(gamma.lo, gamma.hi):
                 continue
-            lam_scaled = _isolate_value(scaled_poly, gamma, chi)
+            lam_scaled = _isolate_value(scaled_poly, gamma, chi, chi_roots)
             if isinstance(lam_scaled, RealAlgebraic):
                 while lam_scaled.lo <= 0 <= lam_scaled.hi:
                     lam_scaled = lam_scaled.refined()
@@ -362,10 +363,13 @@ def _charpoly_of_mod(g: UniPoly, modulus: UniPoly) -> UniPoly:
     return charpoly_general(list(zip(*cols)))
 
 
-def _isolate_value(g: UniPoly, gamma: RealAlgebraic, defining: UniPoly) -> Scalar:
+def _isolate_value(
+    g: UniPoly, gamma: RealAlgebraic, defining: UniPoly, isolating
+) -> Scalar:
     """The number g(gamma) as a RealAlgebraic rooted in `defining`, a
     squarefree primitive integer polynomial (or a Fraction when the
-    enclosure pins a rational root exactly)."""
+    enclosure pins a rational root exactly); `isolating` is
+    RealAlgebraic.isolate(defining)."""
     cur = gamma
     while True:
         iv = g.eval_interval(cur.interval())
@@ -373,9 +377,30 @@ def _isolate_value(g: UniPoly, gamma: RealAlgebraic, defining: UniPoly) -> Scala
         for endpoint in on_root:
             if cur.sign_of_poly(g - UniPoly([endpoint])) == 0:
                 return endpoint
-        if not on_root and defining.count_real_roots(iv.lo, iv.hi) == 1:
+        if not on_root and _holds_one_root(defining, isolating, iv.lo, iv.hi):
             return RealAlgebraic(defining, iv.lo, iv.hi)
         cur = cur.refined()
+
+
+def _holds_one_root(defining: UniPoly, isolating, lo, hi) -> bool:
+    """Whether [lo, hi], which holds at least one root of `defining` and
+    none at its ends, holds exactly one.
+
+    Each root lies inside its isolating interval: meeting only one of them
+    means one root, containing two means at least two.  Only when the
+    overlap leaves it open is the Sturm chain evaluated at lo and hi.
+    """
+    met = inside = 0
+    for root in isolating:
+        if root.lo < hi and lo < root.hi:
+            met += 1
+            if lo <= root.lo and root.hi <= hi:
+                inside += 1
+    if met == 1:
+        return True
+    if inside >= 2:
+        return False
+    return defining.count_real_roots(lo, hi) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +779,11 @@ def real_linear_factor_count(p: BinaryForm) -> int:
     m-th, so the Sturm counts of that tower add up to the total.  Each gcd
     is the last entry of the previous Sturm chain.
     """
-    k = _y_multiplicity(p)
-    q = p.dehomogenized()
+    return _real_linear_factor_count(_y_multiplicity(p), p.dehomogenized())
+
+
+def _real_linear_factor_count(k: int, q: UniPoly) -> int:
+    """real_linear_factor_count for y^k times the homogenization of q."""
     if q.degree <= 0:
         return k
     chain = q._int_chain()
@@ -773,10 +801,20 @@ def splits_over_reals(p: BinaryForm) -> bool:
 
 def is_power_of_linear(p: BinaryForm) -> bool:
     """True iff p = c * (linear form)^d."""
-    k = _y_multiplicity(p)
-    if k == p.degree:
-        return True
-    return k == 0 and p.dehomogenized().squarefree_part().degree == 1
+    return _is_power_of_linear(p, _y_multiplicity(p), p.dehomogenized())
+
+
+def _is_power_of_linear(p: BinaryForm, k: int, q: UniPoly) -> bool:
+    return k == p.degree or (k == 0 and q.squarefree_part().degree == 1)
+
+
+def _splitting(p: BinaryForm) -> Tuple[bool, bool]:
+    """(p splits over R, p splits without being a power of one linear form),
+    both read off one dehomogenization q = p(t, 1), whose Sturm chain is
+    built once."""
+    k, q = _y_multiplicity(p), p.dehomogenized()
+    splits = _real_linear_factor_count(k, q) == p.degree
+    return splits, splits and not _is_power_of_linear(p, k, q)
 
 
 def sign_change_certificate(
@@ -812,7 +850,7 @@ def signature_lower_bound(p: BinaryForm) -> Badge:
         raise ZeroFormError("zero form")
     if p.degree % 2 != 0:
         raise OddDegreeError("even degree required")
-    split_non_power = splits_over_reals(p) and not is_power_of_linear(p)
+    split_non_power = _splitting(p)[1]
     return _lower_bound(inertia(catalecticant(p)), p.degree // 2, split_non_power)
 
 
@@ -905,8 +943,7 @@ def signature_report(
     psd = inert.neg == 0
     nsd = inert.pos == 0
     cone = CONE_POS if psd else (CONE_NEG if nsd else CONE_NONE)
-    splits = splits_over_reals(p)
-    split_non_power = splits and not is_power_of_linear(p)
+    splits, split_non_power = _splitting(p)
     lower_bound = _lower_bound(inert, s, split_non_power)
 
     def report(sigs, status, complete, tags, ll, lu, lc, witness=None):

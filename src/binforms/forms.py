@@ -541,12 +541,20 @@ def expand_certified(
     for lam, form in rep.terms:
         scalars.append((lam, form.alpha, form.beta))
 
+    def powers(iv):
+        # iv**0 .. iv**d, each the previous power times iv
+        out = [RatInterval.point(Fraction(1))]
+        for _ in range(d):
+            out.append(out[-1] * iv)
+        return out
+
     def compute(values):
         out = [RatInterval.point(Fraction(0)) for _ in range(d + 1)]
         for lam, a, b in values:
-            li, ai, bi = (scalar_interval(v) for v in (lam, a, b))
+            li = scalar_interval(lam)
+            apow, bpow = powers(scalar_interval(a)), powers(scalar_interval(b))
             for j in range(d + 1):
-                out[j] = out[j] + li * ai.pow_int(d - j) * bi.pow_int(j)
+                out[j] = out[j] + li * apow[d - j] * bpow[j]
         return out
 
     steps = 0

@@ -6,7 +6,10 @@ squarefree integer defining polynomial plus an isolating interval.
 One primitive integer remainder sequence (`_int_prs`) is the only gcd
 path: the Sturm chain of f is the sequence of f and f', and every gcd,
 squarefree part and root multiplicity is read off the last entry of such
-a sequence.  All answers are exact; no floating point is used anywhere.
+a sequence.  Interval enclosures run on integer numerators over a common
+denominator, and rational roots are candidates s/den that pass the integer
+tests den - s | f(1) and den + s | f(-1) before any evaluation.  All
+answers are exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import ZeroPolynomialError
@@ -22,8 +25,8 @@ from .errors import ZeroPolynomialError
 Rat = Fraction
 Scalar = Union[Fraction, "RealAlgebraic"]
 
-# Incomplete factorizations beyond this many trial divisions only cost us
-# the rational-root shortcut, never correctness.
+# Trial division stops at this divisor.  The divisor lists it leaves
+# incomplete only cost us the rational-root shortcut, never correctness.
 _TRIAL_DIVISION_CAP = 4096
 
 
@@ -127,10 +130,30 @@ class UniPoly:
         return acc
 
     def eval_interval(self, iv: "RatInterval") -> "RatInterval":
-        acc = RatInterval.point(Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = acc * iv + RatInterval.point(c)
-        return acc
+        """Interval Horner enclosure of f over iv: acc <- acc * iv + c.
+
+        Runs on integer numerators over the common denominator C * D**k, C
+        the lcm of the coefficient denominators and D that of the endpoints.
+        Scaling by a positive constant keeps the order of the four products,
+        so the endpoints are exactly those of the Horner recurrence over
+        rational intervals; the two Fractions are built only at the end.
+        """
+        cs = self.coeffs
+        if not cs:
+            return RatInterval.point(Fraction(0))
+        den = lcm(iv.lo.denominator, iv.hi.denominator)
+        lo = iv.lo.numerator * (den // iv.lo.denominator)
+        hi = iv.hi.numerator * (den // iv.hi.denominator)
+        cden = lcm(*(c.denominator for c in cs))
+        a = b = cs[-1].numerator * (cden // cs[-1].denominator)
+        scale = 1
+        for c in reversed(cs[:-1]):
+            scale *= den
+            prods = (a * lo, a * hi, b * lo, b * hi)
+            k = c.numerator * (cden // c.denominator) * scale
+            a, b = min(prods) + k, max(prods) + k
+        scale *= cden
+        return RatInterval(Fraction(a, scale), Fraction(b, scale))
 
     def divmod(self, other: "UniPoly"):
         """Exact rational division with remainder."""
@@ -378,24 +401,50 @@ def sign_variations(values) -> int:
 
 
 def _bounded_divisors(n: int):
-    """Positive divisors of |n|; may be incomplete past the trial cap."""
+    """Positive divisors of |n|, ascending: every divisor d with d * d <= |n|
+    and d <= _TRIAL_DIVISION_CAP, then the cofactors |n| // d of those.
+    That is every divisor when |n| < (_TRIAL_DIVISION_CAP + 1)**2.
+
+    Trial division by 2 and odd numbers up to the cap factors out every
+    prime up to it; whatever is left past the cap has only larger prime
+    factors, so no divisor within the cap involves it.
+    """
     n = abs(n)
     if n == 0:
         return [1]
-    small, large = [], []
-    d, steps = 1, 0
-    while d * d <= n and steps < _TRIAL_DIVISION_CAP:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-        steps += 1
-    return small + large[::-1]
+    limit = min(isqrt(n), _TRIAL_DIVISION_CAP)
+    small = [1]
+    m, p = n, 2
+    while p * p <= m and p <= _TRIAL_DIVISION_CAP:
+        if m % p == 0:
+            powers = []
+            while m % p == 0:
+                m //= p
+                powers.append(p ** (len(powers) + 1))
+            small += [d * q for d in small for q in powers if d * q <= limit]
+        p += 1 if p == 2 else 2
+    if 1 < m <= limit:
+        small += [d * m for d in small if d * m <= limit]
+    small.sort()
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(f: UniPoly):
-    """All rational roots of f (complete for coefficients of moderate size)."""
+    """Rational roots of f, sorted.
+
+    A root s/den in lowest terms of the primitive integer f makes den*t - s
+    a factor of f over Z (Gauss's lemma).  So s divides the lowest nonzero
+    coefficient a_0, den divides the leading coefficient a_n, and the
+    integers den - s and den + s divide f(1) and f(-1).  Candidates come from
+    the divisor lists of a_0 and a_n; only those passing the two
+    divisibility tests are evaluated.
+
+    Completeness: a root s/den (lowest terms, s != 0) is returned exactly
+    when some g >= 1 puts g*|s| in _bounded_divisors(a_0) and g*den in
+    _bounded_divisors(a_n).  Those lists hold every divisor of a number
+    below 4097**2, so every rational root is returned when |a_0| and |a_n|
+    are both below 4097**2 = 16,785,409.  A root at 0 is always returned.
+    """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     cs = list(f._ints())
@@ -406,6 +455,8 @@ def rational_roots(f: UniPoly):
             cs.pop(0)
     if len(cs) <= 1:
         return roots
+    at_one = sum(cs)
+    at_minus_one = sum(cs[0::2]) - sum(cs[1::2])
     # Past the trial cap a divisor list can miss the reduced form of a pair,
     # so each pair is reduced and each value tested once.
     qs = _bounded_divisors(cs[-1])
@@ -418,9 +469,18 @@ def rational_roots(f: UniPoly):
                 continue
             tried.add((num, den))
             for s in (num, -num):
-                if _int_homog_eval(cs, s, den) == 0:
+                if (
+                    _divides(den - s, at_one)
+                    and _divides(den + s, at_minus_one)
+                    and _int_homog_eval(cs, s, den) == 0
+                ):
                     roots.append(Fraction(s, den))
     return sorted(roots)
+
+
+def _divides(a: int, b: int) -> bool:
+    """a | b over the integers (0 divides only 0)."""
+    return b % a == 0 if a else b == 0
 
 
 def _int_homog_eval(cs, p: int, q: int) -> int:
@@ -479,12 +539,6 @@ class RatInterval:
             self.hi * other.hi,
         )
         return RatInterval(min(prods), max(prods))
-
-    def pow_int(self, n: int) -> "RatInterval":
-        out = RatInterval.point(Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 import binforms.engine as engine
+import binforms.realroots as realroots
 
 from binforms import (
     Badge,
@@ -52,6 +53,7 @@ from binforms.engine import (
     is_power_of_linear,
 )
 from binforms.errors import InternalCheckError, SylvesterRejectionError
+from binforms.realroots import RealAlgebraic
 from binforms.families import (
     circle_conic_quartic,
     circle_power,
@@ -198,6 +200,23 @@ class TestSolve:
         cf = expand_certified(dec.rep, F(1, 10**20), 300)
         assert cf.encloses(q2)
 
+    def test_overlap_decision_matches_sturm_count(self):
+        # enclosures holding at least one root and none at their ends, as
+        # _isolate_value hands them over
+        rng = random.Random(71)
+        for _ in range(40):
+            f = UniPoly([rng.randint(1, 3)])
+            for k in rng.sample(range(1, 30), rng.randint(1, 3)):
+                f = f * UniPoly([-k, 0, 1])
+            f = f.squarefree_part()
+            isolating = RealAlgebraic.isolate(f)
+            for _ in range(30):
+                lo, hi = sorted(F(rng.randint(-60, 60), rng.randint(1, 8)) for _ in "ab")
+                count = f.count_real_roots(lo, hi)
+                if count == 0 or f.sign_at_rational(lo) == 0 or f.sign_at_rational(hi) == 0:
+                    continue
+                assert engine._holds_one_root(f, isolating, lo, hi) == (count == 1)
+
     def test_charpoly_of_mod_is_resultant(self):
         # for monic m, chi(z) = Res_t(m, z - g) = prod over m(theta) = 0 of (z - g(theta)),
         # the Sylvester determinant (sympy.resultant can differ in sign when deg g > deg m)
@@ -331,6 +350,23 @@ class TestFactorCount:
                 raw = _conv(raw, [F(1), F(k)])
             p = BinaryForm.from_raw(len(slopes), raw)
             assert real_linear_factor_count(p) == len(slopes)
+
+    def test_report_builds_one_chain_of_q(self, monkeypatch):
+        # Splitting and being a power of a linear form are both read off one
+        # q = (t - 2)^6: its 7-coefficient chain is built once, then the
+        # tower of gcds builds one chain of each smaller size.
+        sizes = []
+        real = realroots._int_sturm_chain
+
+        def counted(f):
+            sizes.append(len(f))
+            return real(f)
+
+        monkeypatch.setattr(realroots, "_int_sturm_chain", counted)
+        monkeypatch.setattr(engine, "_int_sturm_chain", counted)
+        report = signature_report(parse_form("(x-2*y)^6"))
+        assert report.splits and report.signature_set() == {Badge(1, 0)}
+        assert sorted(sizes) == [2, 3, 4, 5, 6, 7]
 
 
 class TestLowerBound:

@@ -3,18 +3,28 @@ examples and a failure reproduces."""
 
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import fraction_eval_interval, pow_int_expansion, trial_divisors
 
-from binforms import BinaryForm
+from binforms import BinaryForm, PowerSumRep, ProjLinearForm, expand_certified
+from binforms import realroots
+from binforms.errors import PrecisionExhaustedError
 from binforms.engine import (
     _conv,
     is_power_of_linear,
     real_linear_factor_count,
     splits_over_reals,
 )
-from binforms.realroots import UniPoly, deflate_rational_roots, rational_roots
+from binforms.realroots import (
+    RatInterval,
+    RealAlgebraic,
+    UniPoly,
+    deflate_rational_roots,
+    rational_roots,
+)
 
 T = sympy.Symbol("t")
 
@@ -116,3 +126,141 @@ class TestDeflation:
         assert roots == rational_roots(f.squarefree_part())
         assert cofactor == _fraction_deflation(f)
         assert not rational_roots(cofactor)
+
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+
+
+@st.composite
+def rat_intervals(draw):
+    a, b = sorted((draw(wide_rationals), draw(wide_rationals)))
+    return RatInterval(a, b)
+
+
+class TestEvalInterval:
+    @PROPERTY
+    @given(st.lists(wide_rationals, max_size=9).map(UniPoly), rat_intervals())
+    @example(UniPoly([]), RatInterval(F(-1), F(2)))
+    @example(UniPoly([F(1, 3), F(-2, 5), F(7, 2)]), RatInterval(F(-1, 6), F(1, 4)))
+    def test_equals_fraction_horner(self, f, iv):
+        got = f.eval_interval(iv)
+        want = fraction_eval_interval(f, iv)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def _algebraic(n, side):
+    """The root of t^2 - n on the given side of 0, isolated."""
+    roots = RealAlgebraic.isolate(UniPoly([-n, 0, 1]))
+    return roots[side]
+
+
+scalars = st.one_of(
+    nonzero_rationals,
+    st.builds(_algebraic, st.sampled_from([2, 3, 5, 7, 10]), st.integers(0, 1)),
+)
+
+
+@st.composite
+def power_sum_reps(draw):
+    d = draw(st.integers(1, 8))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = draw(scalars)
+        if draw(st.integers(0, 5)) == 0:
+            form = ProjLinearForm(F(0), F(1))
+        else:
+            form = ProjLinearForm(F(1), draw(scalars))
+        terms.append((lam, form))
+    return PowerSumRep(d, tuple(terms))
+
+
+class TestExpandCertified:
+    @PROPERTY
+    @given(power_sum_reps(), st.sampled_from([F(10), F(1, 10**3), F(1, 10**6)]))
+    def test_equals_pow_int_expansion(self, rep, tolerance):
+        """Tolerances and a step budget of 16 that some reps exhaust."""
+        try:
+            want = pow_int_expansion(rep, tolerance, 16)
+        except PrecisionExhaustedError:
+            with pytest.raises(PrecisionExhaustedError):
+                expand_certified(rep, tolerance, 16)
+            return
+        got = expand_certified(rep, tolerance, 16)
+        assert [(iv.lo, iv.hi) for iv in got.intervals] == [
+            (iv.lo, iv.hi) for iv in want.intervals
+        ]
+
+
+class TestBoundedDivisors:
+    @PROPERTY
+    @given(
+        st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.integers(4090**2, 4100**2),
+            st.integers(1, 10**12),
+        )
+    )
+    @example(0)
+    @example(4097**2 - 1)
+    @example(4097**2)
+    @example(4099 * 4111)  # two primes past the trial cap
+    @example(2 * 4093)  # a prime just below the cap, times 2
+    @example(2**40)
+    @example(720720)  # many divisors
+    def test_equals_trial_division(self, n):
+        assert realroots._bounded_divisors(n) == trial_divisors(n)
+
+
+planted_big = st.tuples(
+    st.integers(-(10**4), 10**4).filter(bool), st.integers(1, 10**4)
+)
+planted_small = st.tuples(st.integers(-6, 6), st.integers(1, 6))
+
+
+def _planted(roots, cofactor):
+    """prod (den*t - num) * cofactor as a UniPoly."""
+    cs = list(cofactor)
+    for num, den in roots:
+        cs = _conv(cs, [-num, den])
+    return UniPoly(cs)
+
+
+def _sympy_rational_roots(f):
+    """The roots of the degree-1 factors in sympy's factorization over Q."""
+    _, factors = sympy.Poly(_to_sympy(f.coeffs), T, domain="QQ").factor_list()
+    return sorted(
+        F(int(-c0.p * c1.q), int(c0.q * c1.p))
+        for poly, _ in factors
+        if poly.degree() == 1
+        for c0, c1 in [(poly.all_coeffs()[1], poly.all_coeffs()[0])]
+    )
+
+
+class TestRationalRoots:
+    @PROPERTY
+    @given(
+        planted_big,
+        st.lists(planted_small, max_size=2),
+        st.sampled_from([(1,), (1, 0, 1), (3, 0, 2), (5, 1, 1), (1, 0, 0, 2)]),
+    )
+    @example((9973, 9967), [], (1,))  # both past the trial cap, prime
+    @example((-10**4, 9999), [(0, 1), (1, 1)], (1, 0, 1))
+    def test_planted_against_sympy(self, big, small, cofactor):
+        """One root with numerator and denominator up to 10^4 and small
+        ones: every numerator and denominator has a cofactor within the
+        divisor lists, so the result is complete."""
+        f = _planted([big, *small], cofactor)
+        assert rational_roots(f) == _sympy_rational_roots(f)
+
+    @PROPERTY
+    @given(st.lists(planted_big, min_size=1, max_size=3))
+    @example([(4096, 4095), (-4093, 4091)])
+    def test_complete_below_the_bound(self, roots):
+        """Never a false root; every root when the lowest nonzero and the
+        leading coefficient of the primitive f are below 4097^2."""
+        f = _planted(roots, (1,))
+        got, want = rational_roots(f), _sympy_rational_roots(f)
+        assert set(got) <= set(want)
+        cs = [c for c in f.primitive_int().coeffs if c]
+        if abs(cs[0]) < 4097**2 and abs(cs[-1]) < 4097**2:
+            assert got == want
