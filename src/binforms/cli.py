@@ -2,15 +2,16 @@
 
 Exit codes: 0 conclusive/pass, 1 error or mismatch, 2 invalid input
 (odd degree or zero form), 3 inconclusive within the given budgets.
-Each subcommand takes only the flags it reads; all but sweep's --family,
---grid and --limit can also be set through a BINFORMS_* environment variable.
+Each subcommand takes only the flags it reads.  Flags are the only settings:
+no environment variable changes what the CLI does, so the argument parser is
+built once, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -42,23 +43,19 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _env(name: str, default):
-    return os.environ.get(f"BINFORMS_{name}", default)
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     """Flags of every subcommand."""
     p.add_argument(
         "--output",
         "-o",
         choices=("text", "json"),
-        default=_env("OUTPUT", "text"),
+        default="text",
         help="output mode (default text)",
     )
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(_env("JOBS", 1)),
+        default=1,
         help="parallel workers for sweep reports, at most one per report",
     )
 
@@ -68,11 +65,11 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--search-budget",
         type=int,
-        default=int(_env("SEARCH_BUDGET", 10_000)),
+        default=SearchConfig.search_budget,
         help="candidate budget per representation degree",
     )
     p.add_argument(
-        "--seed", type=int, default=int(_env("SEED", 0)), help="search RNG seed"
+        "--seed", type=int, default=SearchConfig.seed, help="search RNG seed"
     )
 
 
@@ -82,10 +79,6 @@ def _config(args) -> SearchConfig:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _badge_text(b) -> str:
-    return f"({b.pos},{b.neg})"
 
 
 def _scalar_text(x) -> str:
@@ -104,10 +97,10 @@ def _render_report_text(report: SignatureReport) -> List[str]:
     length = f"length: > {report.length_lower}, achieved {report.length_upper}"
     length += " (conclusive)" if report.length_conclusive else " (bound only)"
     lines.append(length)
-    sigs = ", ".join(f"{_badge_text(b)} {status}" for b, status in report.signatures)
+    sigs = ", ".join(f"{b!r} {status}" for b, status in report.signatures)
     lines.append(f"signatures: {sigs if sigs else '(none observed)'}")
     lines.append(f"signature set complete: {'yes' if report.set_complete else 'no'}")
-    lines.append(f"lower bound: {_badge_text(report.lower_bound_badge)}")
+    lines.append(f"lower bound: {report.lower_bound_badge!r}")
     lines.append(f"rules: {', '.join(report.provenance)}")
     return lines
 
@@ -165,7 +158,7 @@ def cmd_decompose(args) -> int:
             f"length: > {length.lower}, achieved {length.upper}"
             + (" (conclusive)" if length.conclusive else " (bound only)")
         )
-        print(f"badge: {_badge_text(dec.badge)}   certification: {dec.certification}")
+        print(f"badge: {dec.badge!r}   certification: {dec.certification}")
         print(f"witness: {dec.witness.text()}")
         for lam, form in dec.rep.terms:
             sign = "+" if scalar_sign(lam) > 0 else "-"
@@ -182,13 +175,13 @@ def cmd_verify(args) -> int:
                 payload = json.load(fh)
         rep = jsonio.rep_from_json(payload)
         expected = parse_form(args.expected)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        got = expand_exact(rep)
+    except (
+        OSError, KeyError, TypeError, ValueError,
+        FormSyntaxError, NotHomogeneousError, ZeroFormError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (FormSyntaxError, NotHomogeneousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    got = expand_exact(rep)
     cert = None
     if rep.length >= 2 and not got.is_zero:
         cert = sign_change_certificate(rep, got)
@@ -255,16 +248,14 @@ def cmd_sweep(args) -> int:
             if row.error is not None:
                 print(f"t={fraction_str(row.param)}: error {row.error}")
                 continue
-            sigs = ", ".join(_badge_text(b) for b, _ in row.report.signatures)
+            sigs = ", ".join(repr(b) for b, _ in row.report.signatures)
             jump = f" jump={row.jump_vs_limit}" if row.jump_vs_limit != JUMP_NONE else ""
             print(f"t={fraction_str(row.param)}: {{{sigs}}}{jump}")
         if limit is not None:
             if result.limit_error is not None:
                 print(f"limit t={fraction_str(limit)}: error {result.limit_error}")
             elif result.limit_report is not None:
-                sigs = ", ".join(
-                    _badge_text(b) for b, _ in result.limit_report.signatures
-                )
+                sigs = ", ".join(repr(b) for b, _ in result.limit_report.signatures)
                 print(f"limit t={fraction_str(limit)}: {{{sigs}}}")
     trouble = any(row.error is not None for row in result.rows) or (
         result.limit_error is not None
@@ -307,7 +298,9 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK if all(o.ok for o in outcomes) else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Declare every subcommand and flag; main builds this tree once."""
     parser = argparse.ArgumentParser(
         prog="binforms",
         description="Exact decomposition and signature analysis of binary forms",
@@ -342,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fx = sub.add_parser("fixtures", help="run the built-in identity corpus")
     p_fx.add_argument(
-        "--filter",
-        default=_env("FILTER", ""),
-        help="substring filter on fixture ids and anchors",
+        "--filter", default="", help="substring filter on fixture ids and anchors"
     )
     _common_flags(p_fx)
     _search_flags(p_fx)

@@ -11,7 +11,7 @@ import random
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -30,6 +30,7 @@ from .forms import (
     expand_exact,
     minimal_badges,
     mirror,
+    monomial_text,
 )
 from .quadforms import (
     CONE_NEG,
@@ -111,27 +112,7 @@ class SylvesterForm:
         return UniPoly([self.coeffs[self.r - i] for i in range(self.r + 1)])
 
     def text(self) -> str:
-        pieces = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            i = self.r - j
-            factors = []
-            if i > 0:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j > 0:
-                factors.append("y" if j == 1 else f"y^{j}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            pieces.append(("-" if c < 0 else "+", "*".join(factors)))
-        if not pieces:
-            return "0"
-        sign0, head = pieces[0]
-        out = ("-" if sign0 == "-" else "") + head
-        for sign, mono in pieces[1:]:
-            out += f" {sign} {mono}"
-        return out
+        return monomial_text(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -522,16 +503,20 @@ def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
 _DENOM_BOUND = 12
 
 
-def _u_grid(mag: int = 6):
-    """Rationals ordered by denominator then magnitude, 0 excluded last."""
-    seen = set()
-    for den in range(1, _DENOM_BOUND + 1):
-        for num in range(0, mag * den + 1):
-            for s in (1, -1):
-                q = Fraction(s * num, den)
-                if q not in seen:
-                    seen.add(q)
-                    yield q
+# The grid of _structured_candidates: the first 200 rationals u = n/q in
+# lowest terms with |u| <= 6, as (n, q) by denominator, then magnitude, + first.
+_U_GRID = tuple(
+    itertools.islice(
+        (
+            (s * num, den)
+            for den in range(1, _DENOM_BOUND + 1)
+            for num in range(6 * den + 1)
+            for s in (1, -1)
+            if gcd(num, den) == 1 and (num or s == 1)
+        ),
+        200,
+    )
+)
 
 
 def _structured_candidates(p: BinaryForm, r: int, config: SearchConfig):
@@ -550,8 +535,7 @@ def _structured_candidates(p: BinaryForm, r: int, config: SearchConfig):
         return
     linears = [[1]] if r % 2 == 0 else [[1, 1], [1, -1], [1, 0], [0, 1]]
     for lin in linears:
-        for u in itertools.islice(_u_grid(), 200):
-            n, q = u.numerator, u.denominator
+        for n, q in _U_GRID:
             fixed = lin
             for _ in range(nquads - 1):
                 fixed = _conv(fixed, [q, 2 * q + n, q])

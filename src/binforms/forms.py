@@ -208,32 +208,36 @@ class BinaryForm:
 
     def text(self) -> str:
         """Canonical text: monomials by descending x-power, explicit * and ^."""
-        pieces = []
-        for j in range(self.degree + 1):
-            c = self.raw_coeff(j)
-            if c == 0:
-                continue
-            i = self.degree - j
-            factors = []
-            if i > 0:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j > 0:
-                factors.append("y" if j == 1 else f"y^{j}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            mono = "*".join(factors)
-            pieces.append(("-" if c < 0 else "+", mono))
-        if not pieces:
-            return "0"
-        first_sign, first = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, mono in pieces[1:]:
-            out += f" {sign} {mono}"
-        return out
+        return monomial_text([self.raw_coeff(j) for j in range(self.degree + 1)])
 
     def __repr__(self):
         return f"BinaryForm({self.text()!r})"
+
+
+def monomial_text(coeffs: Sequence[Fraction]) -> str:
+    """Text of sum_j coeffs[j] x^(n-j) y^j, n = len(coeffs) - 1: monomials by
+    descending x-power, explicit * and ^, zero terms dropped."""
+    n = len(coeffs) - 1
+    pieces = []
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        i = n - j
+        factors = []
+        if i > 0:
+            factors.append("x" if i == 1 else f"x^{i}")
+        if j > 0:
+            factors.append("y" if j == 1 else f"y^{j}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        pieces.append(("-" if c < 0 else "+", "*".join(factors)))
+    if not pieces:
+        return "0"
+    first_sign, first = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first
+    for sign, mono in pieces[1:]:
+        out += f" {sign} {mono}"
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,7 +11,8 @@ import pytest
 from binforms import cli
 from binforms.cli import main
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
+REPO = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = REPO / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
 
 
@@ -57,12 +62,6 @@ class TestAnalyze:
         validate(payload, "analyze")
         _, out2, _ = run(capsys, "analyze", "6*x^5*y + 6*x*y^5", "--output", "json")
         assert out1 == out2
-
-    def test_env_output_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BINFORMS_OUTPUT", "json")
-        code, out, _ = run(capsys, "analyze", "x^4 + y^4")
-        assert code == 0
-        json.loads(out)
 
 
 class TestDecompose:
@@ -120,6 +119,37 @@ class TestFlagsPerSubcommand:
         assert code == 0
         code, _, _ = run(capsys, "fixtures", "--filter", "thm-4.4", "--jobs", "1")
         assert code == 0
+
+
+class TestSettingsFromArgvOnly:
+    def test_main_calls_share_one_parser_tree(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in (["analyze", "x^4 + y^4"], ["decompose", "x^4"], ["analyze", "x^2*y^2"]):
+            assert run(capsys, *argv)[0] == 0
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert built[0] is parser
+        assert len(built) == 1 + len(sub.choices)
+
+    def test_binforms_env_vars_ignored(self):
+        base = {k: v for k, v in os.environ.items() if not k.startswith("BINFORMS_")}
+        base["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [base.get("PYTHONPATH")])]
+        )
+        argv = [sys.executable, "-m", "binforms", "analyze", "x^4 + y^4"]
+        plain = subprocess.run(argv, env=base, capture_output=True, check=True)
+        env = {**base, "BINFORMS_OUTPUT": "json", "BINFORMS_SEARCH_BUDGET": "1"}
+        with_env = subprocess.run(argv, env=env, capture_output=True, check=True)
+        assert plain.stdout.startswith(b"form: x^4 + y^4\n")
+        assert with_env.stdout == plain.stdout
 
 
 REP_JSON = {
@@ -180,6 +210,23 @@ class TestVerify:
         payload = json.loads(out)
         validate(payload, "verify")
         assert payload["certificate"] == {"tau": 4, "sigma": 4, "ok": True}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"degree": 4, "terms": [{"coeff": "1", "form": ["0", "0"]}]},
+            {"degree": -1, "terms": []},
+            [1],
+        ],
+        ids=["zero-point", "negative-degree", "top-level-list"],
+    )
+    def test_malformed_representation_exit1(self, capsys, tmp_path, payload):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path), "x^4")
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestSweep:

@@ -1,7 +1,8 @@
-"""Byte-for-byte JSON output of a few fast CLI calls, one per output path:
-an exact and a certified decomposition, the degree-8 reference pencil of the
-benchmark corpus, an analysis, a verification and a fixture.  A change that
-alters any byte of these must say why and regenerate the goldens with
+"""Byte-for-byte JSON and text output of a few fast CLI calls, one per
+output path: an exact and a certified decomposition, the degree-8 reference
+pencil of the benchmark corpus, an analysis, a verification and a fixture.
+A change that alters any byte of these must say why and regenerate the
+goldens with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -16,7 +17,7 @@ from binforms.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name -> argv; every call exits 0 and prints JSON.
+# name -> argv; every call exits 0 in both output modes.
 CASES = {
     "decompose-exact": ["decompose", "(x+y)^6 + 2*(x-y)^6 - 3*(x+2*y)^6"],
     "decompose-certified": ["decompose", "6*x^5*y + 40*x^3*y^3 + 6*x*y^5"],
@@ -30,22 +31,35 @@ CASES = {
 }
 
 
-def _stdout(argv):
+# output mode -> golden file suffix
+MODES = {"json": "json", "text": "txt"}
+
+
+def _stdout(argv, mode):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([*argv, "--output", "json"])
+        code = main([*argv, "--output", mode])
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_unchanged(name):
-    code, out = _stdout(CASES[name])
+# A JSON case's id is its bare name; a text case's id adds "-text".
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        pytest.param(name, mode, id=name if mode == "json" else f"{name}-{mode}")
+        for name in sorted(CASES)
+        for mode in sorted(MODES)
+    ],
+)
+def test_output_bytes_unchanged(name, mode):
+    code, out = _stdout(CASES[name], mode)
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{name}.{MODES[mode]}").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     for name, argv in CASES.items():
-        code, out = _stdout(argv)
-        assert code == 0, name
-        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        for mode, suffix in MODES.items():
+            code, out = _stdout(argv, mode)
+            assert code == 0, name
+            (GOLDEN / f"{name}.{suffix}").write_text(out, encoding="utf-8")
