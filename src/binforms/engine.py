@@ -417,30 +417,37 @@ def _conv(a, b):
 
 
 def decide_pencil(
-    b1: Sequence[Fraction], b2: Sequence[Fraction], r: int
+    b1: Sequence[Fraction], b2: Sequence[Fraction], r: int, *, first: bool = False
 ) -> List[SylvesterForm]:
     """All validity regions of the pencil span{b1, b2} at degree r.
 
     Between real roots of the discriminant-style resultant and of the leading
     coefficient, validity is constant, so finitely many exact rational samples
     decide the whole pencil.  An empty result proves no valid form exists.
+    With first=True the samples stop at the first valid one, so the result
+    holds at most the full result's first element.
     """
     wits: List[SylvesterForm] = []
     seen = set()
-
-    def try_vec(vec):
+    for vec in _pencil_samples(b1, b2, r):
         vec = [Fraction(v) for v in vec]
         if all(v == 0 for v in vec):
-            return
+            continue
         key = _primitive_vector(vec)
         if key in seen:
-            return
+            continue
         seen.add(key)
         try:
             wits.append(validate_sylvester(vec, r))
         except SylvesterRejectionError:
-            pass
+            continue
+        if first:
+            break
+    return wits
 
+
+def _pencil_samples(b1, b2, r):
+    """One vector b1 + u b2 per sign-invariant region of u, then b2."""
     cs = [UniPoly([Fraction(b1[j]), Fraction(b2[j])]) for j in range(r + 1)]
     tcoeffs = [cs[r - i] for i in range(r + 1)]
     while tcoeffs and tcoeffs[-1].is_zero:
@@ -453,12 +460,13 @@ def decide_pencil(
             specials.append(-lead.coeffs[0] / lead.coeffs[1])
         samples: List[Fraction] = []
         if deg_t >= 1:
+            # Column 0 of the Sylvester matrix is lead * (1, 0, ..., deg_t,
+            # 0, ...), so lead divides the resultant: its roots are among g's.
             dcoeffs = [tcoeffs[i + 1] * (i + 1) for i in range(deg_t)]
-            res = _resultant_t(tcoeffs, dcoeffs)
+            g = _resultant_t(tcoeffs, dcoeffs)
         else:
-            res = UniPoly([1])
-        if not res.is_zero:
-            g = res * lead if lead.degree >= 1 else res
+            g = lead
+        if not g.is_zero:
             if g.degree >= 1:
                 roots = RealAlgebraic.isolate(g)
             else:
@@ -474,9 +482,8 @@ def decide_pencil(
                 last = roots[-1].hi
                 samples.append(Fraction(last.numerator // last.denominator + 1))
         for u in itertools.chain(samples, specials):
-            try_vec([Fraction(b1[j]) + u * Fraction(b2[j]) for j in range(r + 1)])
-    try_vec(list(b2))
-    return wits
+            yield [Fraction(b1[j]) + u * Fraction(b2[j]) for j in range(r + 1)]
+    yield list(b2)
 
 
 def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
@@ -653,7 +660,7 @@ def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthR
             result = solve_coefficients(p, sylv)
             break
         if dim == 2:
-            wits = decide_pencil(basis[0], basis[1], r)
+            wits = decide_pencil(basis[0], basis[1], r, first=True)
             if wits:
                 result = solve_coefficients(p, wits[0])
                 break

@@ -47,6 +47,7 @@ from .forms import (
     parse_form,
     substitute,
 )
+from .jsonio import fraction_str
 from .quadforms import catalecticant, hankel, inertia, is_psd, kernel_basis, width
 from .realroots import RealAlgebraic, UniPoly
 
@@ -63,6 +64,13 @@ class Fixture:
 
 def _check(cond: bool, detail: str) -> Tuple[bool, str]:
     return (True, detail) if cond else (False, detail)
+
+
+def _tuple_text(values) -> str:
+    """A tuple of rationals (or of such tuples) with num/den entries."""
+    return "(" + ", ".join(
+        _tuple_text(v) if isinstance(v, tuple) else fraction_str(v) for v in values
+    ) + ")"
 
 
 def _eq14_rep() -> PowerSumRep:
@@ -95,14 +103,14 @@ def _fx_parse_monomial(cfg):
     p = parse_form("24*y^4")
     return _check(
         p.degree == 4 and p.raw_coeffs() == (0, 0, 0, 0, 24),
-        f"coeffs {p.coeffs}",
+        f"coeffs {_tuple_text(p.coeffs)}",
     )
 
 
 def _fx_parse_family(cfg):
     p = parse_form("6*x^5*y + 20*x^3*y^3 + 6*x*y^5")
     want = tuple(F(v) for v in (0, 1, 0, 1, 0, 1, 0))
-    return _check(p.degree == 6 and p.coeffs == want, f"coeffs {p.coeffs}")
+    return _check(p.degree == 6 and p.coeffs == want, f"coeffs {_tuple_text(p.coeffs)}")
 
 
 def _fx_quartic_identity(cfg):
@@ -153,7 +161,7 @@ def _fx_catalecticant_matrix(cfg):
         (F(0), F(2), F(0), F(1)),
         (F(2), F(0), F(1), F(0)),
     )
-    return _check(m.entries == want, str(m.entries))
+    return _check(m.entries == want, _tuple_text(m.entries))
 
 
 def _fx_catalecticant_inertia(cfg):

@@ -320,8 +320,10 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses; no implicit products.
 
-    Values are dicts mapping (i, j, k) -> Fraction for monomials x^i y^j t^k,
-    where t is an optional sweep parameter.
+    Values are dicts mapping (i, j, k) -> coefficient for monomials
+    x^i y^j t^k, where t is an optional sweep parameter.  Coefficients stay
+    int until a num/den literal brings in a Fraction; mixed arithmetic is
+    exact either way.
     """
 
     def __init__(self, tokens, allow_param: bool):
@@ -386,13 +388,13 @@ class _Parser:
             self.expect(")")
             return v
         if tok == "x":
-            return {(1, 0, 0): Fraction(1)}
+            return {(1, 0, 0): 1}
         if tok == "y":
-            return {(0, 1, 0): Fraction(1)}
+            return {(0, 1, 0): 1}
         if tok == "t":
             if not self.allow_param:
                 raise FormSyntaxError("parameter t is not allowed here")
-            return {(0, 0, 1): Fraction(1)}
+            return {(0, 0, 1): 1}
         if tok.isdigit():
             num = int(tok)
             if self.peek() == "/":
@@ -402,7 +404,7 @@ class _Parser:
                     raise FormSyntaxError("denominator must be a positive integer")
                 value = Fraction(num, int(den))
             else:
-                value = Fraction(num)
+                value = num
             return {(0, 0, 0): value} if value != 0 else {}
         raise FormSyntaxError(f"unexpected token {tok!r}")
 
@@ -410,7 +412,7 @@ class _Parser:
 def _poly_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
         if out[k] == 0:
             del out[k]
     return out
@@ -427,14 +429,14 @@ def _poly_mul(a, b):
     for (i1, j1, k1), v1 in a.items():
         for (i2, j2, k2), v2 in b.items():
             key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, Fraction(0)) + v1 * v2
+            out[key] = out.get(key, 0) + v1 * v2
             if out[key] == 0:
                 del out[key]
     return out
 
 
 def _poly_pow(a, n):
-    out = {(0, 0, 0): Fraction(1)}
+    out = {(0, 0, 0): 1}
     for _ in range(n):
         out = _poly_mul(out, a)
     return out
@@ -447,7 +449,7 @@ def _monomials_to_form(mono) -> BinaryForm:
     if len(degrees) != 1:
         raise NotHomogeneousError(f"mixed total degrees {sorted(degrees)}")
     d = degrees.pop()
-    raw = [Fraction(0)] * (d + 1)
+    raw = [0] * (d + 1)
     for (i, j, _), v in mono.items():
         raw[j] = v
     return BinaryForm.from_raw(d, raw)
@@ -492,7 +494,7 @@ def parse_family(text: str) -> Family:
     degrees = {i + j for (i, j, _) in mono}
     if len(degrees) > 1:
         raise NotHomogeneousError(f"mixed total degrees {sorted(degrees)}")
-    return Family(tuple(mono.items()))
+    return Family(tuple((key, Fraction(v)) for key, v in mono.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +563,36 @@ def expand_certified(
                 out[j] = out[j] + li * apow[d - j] * bpow[j]
         return out
 
-    steps = 0
-    current = list(scalars)
-    while True:
-        enclosures = compute(current)
-        if all(iv.width <= tolerance for iv in enclosures):
-            return CertifiedForm(d, tuple(enclosures))
-        if steps >= max_steps:
-            raise PrecisionExhaustedError(
-                f"tolerance {tolerance} not reached in {max_steps} refinement steps"
-            )
-        steps += 1
-        current = [
-            tuple(v.refined() if isinstance(v, RealAlgebraic) else v for v in triple)
-            for triple in current
+    def refine(values, steps):
+        return [
+            tuple(v.refined(steps) if isinstance(v, RealAlgebraic) else v for v in triple)
+            for triple in values
         ]
+
+    # Refinement nests every isolating interval and interval arithmetic is
+    # inclusion-monotone, so the enclosure widths never grow with the step
+    # count: the first count that fits is found by doubling, then bisection
+    # between the last count that did not fit and the first that did.
+    enclosures = compute(scalars)
+    if all(iv.width <= tolerance for iv in enclosures):
+        return CertifiedForm(d, tuple(enclosures))
+    lo, lo_values, hi, fit = 0, scalars, None, None
+    while hi is None or hi - lo > 1:
+        if hi is None:
+            if lo >= max_steps:
+                raise PrecisionExhaustedError(
+                    f"tolerance {tolerance} not reached in {max_steps} refinement steps"
+                )
+            steps = min(max(2 * lo, 1), max_steps)
+        else:
+            steps = (lo + hi) // 2
+        values = refine(lo_values, steps - lo)
+        enclosures = compute(values)
+        if all(iv.width <= tolerance for iv in enclosures):
+            hi, fit = steps, enclosures
+        else:
+            lo, lo_values = steps, values
+    return CertifiedForm(d, tuple(fit))
 
 
 def substitute(p: BinaryForm, matrix) -> BinaryForm:

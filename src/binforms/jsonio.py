@@ -19,6 +19,10 @@ from .forms import Badge, BinaryForm, PowerSumRep, ProjLinearForm
 from .quadforms import Inertia
 from .realroots import Scalar, scalar_sign
 
+# Largest degree rep_from_json accepts, checked before anything of that size
+# is allocated; far above any degree the engine decides.
+MAX_REP_DEGREE = 10_000
+
 
 def fraction_str(q: Fraction) -> str:
     q = Fraction(q)
@@ -75,8 +79,13 @@ def rep_to_json(rep: PowerSumRep) -> Dict[str, Any]:
 
 
 def rep_from_json(obj: Dict[str, Any]) -> PowerSumRep:
-    """Rational representation input: coeff and form entries as num/den text."""
+    """Rational representation input: coeff and form entries as num/den text.
+
+    A degree above MAX_REP_DEGREE raises ValueError.
+    """
     degree = int(obj["degree"])
+    if degree > MAX_REP_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the limit {MAX_REP_DEGREE}")
     terms = []
     for item in obj["terms"]:
         lam = parse_fraction(item["coeff"])

@@ -61,8 +61,9 @@ def _pow_int(iv: RatInterval, n: int) -> RatInterval:
 
 
 def pow_int_expansion(rep: PowerSumRep, tolerance: Fraction, max_steps: int) -> CertifiedForm:
-    """expand_certified with every power alpha^(d-j), beta^j computed afresh
-    by repeated multiplication, O(d^2) products per term."""
+    """expand_certified one refinement step at a time: an expansion after
+    every step, each power alpha^(d-j), beta^j computed afresh by repeated
+    multiplication, O(d^2) products per term."""
     d = rep.degree
     current = [(lam, form.alpha, form.beta) for lam, form in rep.terms]
     for _ in range(max_steps + 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from binforms import cli
+from binforms import cli, jsonio
 from binforms.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -217,8 +217,9 @@ class TestVerify:
             {"degree": 4, "terms": [{"coeff": "1", "form": ["0", "0"]}]},
             {"degree": -1, "terms": []},
             [1],
+            {"degree": jsonio.MAX_REP_DEGREE + 1, "terms": []},
         ],
-        ids=["zero-point", "negative-degree", "top-level-list"],
+        ids=["zero-point", "negative-degree", "top-level-list", "degree-above-limit"],
     )
     def test_malformed_representation_exit1(self, capsys, tmp_path, payload):
         path = tmp_path / "rep.json"
@@ -227,6 +228,13 @@ class TestVerify:
         assert code == 1
         assert out == "" and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_degree_limit_is_checked_before_allocation(self):
+        assert jsonio.rep_from_json({"degree": jsonio.MAX_REP_DEGREE, "terms": []}).degree == (
+            jsonio.MAX_REP_DEGREE
+        )
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            jsonio.rep_from_json({"degree": 10**8, "terms": []})
 
 
 class TestSweep:
@@ -343,6 +351,14 @@ class TestFixtures:
         assert code == 0
         body = [l for l in out.splitlines() if l.startswith("PASS")]
         assert 0 < len(body) < 30
+
+    def test_json_details_have_no_python_reprs(self, capsys):
+        """Rationals in details are num/den text, as everywhere in the JSON."""
+        code, out, _ = run(capsys, "fixtures", "-o", "json")
+        assert code == 0
+        assert "Fraction(" not in out
+        details = {f["id"]: f["detail"] for f in json.loads(out)["fixtures"]}
+        assert details["parse-monomial"] == "coeffs (0, 0, 0, 0, 24)"
 
     def test_bad_filter_exit1(self, capsys):
         code, _, err = run(capsys, "fixtures", "--filter", "no-such-fixture")

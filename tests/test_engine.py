@@ -281,6 +281,83 @@ class TestPencil:
             assert decide_pencil(basis[0], basis[1], 4) == []
 
 
+def _planted_pencil(d, seed):
+    """Kernel basis at r = d//2 + 1 of a sum of r (d even) or r - 1 (d odd)
+    powers of integer linear forms: a two-dimensional kernel."""
+    rng = random.Random(seed)
+    r = d // 2 + 1
+    k = r if d % 2 == 0 else r - 1
+    raw = [F(0)] * (d + 1)
+    for beta in rng.sample(range(-9, 10), k):
+        lam = rng.choice((-1, 1)) * rng.randint(1, 9)
+        for j in range(d + 1):
+            raw[j] += lam * math.comb(d, j) * beta**j
+    basis = kernel_basis(hankel(BinaryForm.from_raw(d, raw), r))
+    assert len(basis) == 2
+    return basis, r
+
+
+def _projection(b1, b2, r):
+    """The leading t-coefficient and Res_t(h, h') of h = b1 + u b2 in t = x/y."""
+    tcoeffs = [UniPoly([F(b1[r - i]), F(b2[r - i])]) for i in range(r + 1)]
+    while tcoeffs[-1].is_zero:
+        tcoeffs.pop()
+    deriv = [tcoeffs[i + 1] * (i + 1) for i in range(len(tcoeffs) - 1)]
+    return tcoeffs[-1], engine._resultant_t(tcoeffs, deriv)
+
+
+def _witness_key(w):
+    return w.coeffs, w.roots.infinity_mult, [
+        (g.lo, g.hi) if isinstance(g, RealAlgebraic) else g for g in w.roots.finite
+    ]
+
+
+PLANTED = [(d, seed) for d in range(6, 17) for seed in (0, 1)]
+
+
+class TestPencilProjection:
+    @pytest.mark.parametrize("d, seed", PLANTED)
+    def test_lead_divides_res_and_isolations_agree(self, d, seed):
+        (b1, b2), r = _planted_pencil(d, seed)
+        lead, res = _projection(b1, b2, r)
+        assert lead.degree == 1
+        assert res.divmod(lead)[1].is_zero
+        with_lead = RealAlgebraic.isolate(res * lead)
+        alone = RealAlgebraic.isolate(res)
+        assert [(g.lo, g.hi) for g in alone] == [(g.lo, g.hi) for g in with_lead]
+
+    @pytest.mark.parametrize("d, seed", PLANTED)
+    def test_first_witness_is_the_full_lists_first(self, d, seed):
+        (b1, b2), r = _planted_pencil(d, seed)
+        full = decide_pencil(b1, b2, r)
+        first = decide_pencil(b1, b2, r, first=True)
+        assert full and len(first) == 1
+        assert _witness_key(first[0]) == _witness_key(full[0])
+
+    def test_first_witness_of_an_empty_pencil(self):
+        basis = kernel_basis(hankel(sextic_xy_family(0), 4))
+        assert decide_pencil(basis[0], basis[1], 4, first=True) == []
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_one_sturm_chain_per_decision(self, monkeypatch, d):
+        """With every sample rejected, the only chain left is the projection's."""
+        (b1, b2), r = _planted_pencil(d, 0)
+        chains = []
+        build = realroots._int_sturm_chain
+
+        def counting(f):
+            chains.append(len(f))
+            return build(f)
+
+        def reject(vec, r):
+            raise SylvesterRejectionError(SylvesterRejectionError.COMPLEX_ROOTS, "stub")
+
+        monkeypatch.setattr(realroots, "_int_sturm_chain", counting)
+        monkeypatch.setattr(engine, "validate_sylvester", reject)
+        assert decide_pencil(b1, b2, r) == []
+        assert len(chains) == 1
+
+
 class TestBadgeSearch:
     def test_diagonal_quartic(self):
         res = badge_search(parse_form("x^4 + y^4"), 2, FAST)

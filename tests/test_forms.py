@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import binforms.forms as forms
 from binforms import (
     Badge,
     BinaryForm,
@@ -137,6 +138,29 @@ class TestCertified:
         assert cf.encloses(target)
         assert cf.max_width <= F(1, 10**30)
 
+    def test_circle_identity_step_search(self, monkeypatch):
+        """The first fitting step count (found by doubling, then bisection)
+        costs about 2 log2 of it expansions, not one per step."""
+        root3 = RealAlgebraic(UniPoly([-3, 0, 1]), F(3, 2), F(2))
+        r = PowerSumRep(
+            4,
+            (
+                (F(1, 3), ProjLinearForm(F(1), F(0))),
+                (F(1, 48), ProjLinearForm(F(1), root3)),
+                (F(1, 48), ProjLinearForm(F(1), -root3)),
+            ),
+        )
+        calls = []
+        enclose = forms.scalar_interval
+        monkeypatch.setattr(
+            forms, "scalar_interval", lambda x: calls.append(x) or enclose(x)
+        )
+        expand_certified(r, F(1, 10**30), 256)
+        expansions = len(calls) // (3 * len(r.terms))
+        assert len(calls) % (3 * len(r.terms)) == 0
+        # 0, 1, 2, 4, ..., 128 by doubling, then 6 bisection steps in (64, 128]
+        assert expansions <= 16
+
     def test_empty_rep_is_zero(self):
         cf = expand_certified(PowerSumRep(4, ()), F(0), 1)
         assert all(iv.lo == iv.hi == 0 for iv in cf.intervals)
@@ -146,7 +170,10 @@ class TestCertified:
 
         root2 = RealAlgebraic(UniPoly([-2, 0, 1]), F(1), F(2))
         r = PowerSumRep(4, ((F(1), ProjLinearForm(F(1), root2)),))
-        with pytest.raises(PrecisionExhaustedError):
+        with pytest.raises(
+            PrecisionExhaustedError,
+            match=f"tolerance 1/1{'0' * 40} not reached in 2 refinement steps",
+        ):
             expand_certified(r, F(1, 10**40), 2)
 
 

@@ -1,6 +1,7 @@
 """Byte-for-byte JSON and text output of a few fast CLI calls, one per
-output path: an exact and a certified decomposition, the degree-8 reference
-pencil of the benchmark corpus, an analysis, a verification and a fixture.
+output path: an exact and a certified decomposition, the degree-8 and
+degree-12 reference pencils of the benchmark corpus, an analysis, a
+verification and a fixture.
 A change that alters any byte of these must say why and regenerate the
 goldens with
 
@@ -24,6 +25,11 @@ CASES = {
     "decompose-pencil-d8": [
         "decompose",
         "7*(x + 3*y)^8 + 8*(x + 4*y)^8 + 4*(x - 8*y)^8 - 5*(x - 1*y)^8 - 2*(x + 6*y)^8",
+    ],
+    "decompose-pencil-d12": [
+        "decompose",
+        "-8*(x + 7*y)^12 + 4*(x - 1*y)^12 + 2*(x - 8*y)^12 - 4*(x - 9*y)^12"
+        " - 3*(x + 9*y)^12 + 2*(x + 2*y)^12 - 6*(x - 3*y)^12",
     ],
     "analyze-sextic-family": ["analyze", "6*x^5*y - 4*x^3*y^3 + 6*x*y^5"],
     "verify-readme": ["verify", str(GOLDEN / "verify-rep.json"), "24*y^4"],

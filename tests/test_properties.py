@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_eval_interval, pow_int_expansion, trial_divisors
 
-from binforms import BinaryForm, PowerSumRep, ProjLinearForm, expand_certified
+from binforms import BinaryForm, PowerSumRep, ProjLinearForm, expand_certified, parse_form
 from binforms import realroots
 from binforms.errors import PrecisionExhaustedError
 from binforms.engine import (
@@ -189,6 +189,102 @@ class TestExpandCertified:
         assert [(iv.lo, iv.hi) for iv in got.intervals] == [
             (iv.lo, iv.hi) for iv in want.intervals
         ]
+
+
+    @PROPERTY
+    @given(
+        power_sum_reps(),
+        st.sampled_from([F(0), F(1, 10**3), F(1, 10**12), F(1, 10**20)]),
+        st.integers(0, 40),
+    )
+    def test_step_search_equals_stepwise_loop(self, rep, tolerance, max_steps):
+        """The doubling-and-bisection step search stops at the first step
+        count that fits, as the one-step-at-a-time loop does, or raises
+        the same error when max_steps does not fit."""
+        try:
+            want = pow_int_expansion(rep, tolerance, max_steps)
+        except PrecisionExhaustedError:
+            with pytest.raises(
+                PrecisionExhaustedError,
+                match=f"not reached in {max_steps} refinement steps",
+            ):
+                expand_certified(rep, tolerance, max_steps)
+            return
+        got = expand_certified(rep, tolerance, max_steps)
+        assert [(iv.lo, iv.hi) for iv in got.intervals] == [
+            (iv.lo, iv.hi) for iv in want.intervals
+        ]
+
+
+X, Y = sympy.symbols("x y")
+
+literals = st.one_of(
+    st.integers(0, 40).map(lambda n: (str(n), sympy.Integer(n))),
+    st.tuples(st.integers(0, 40), st.integers(1, 12)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", sympy.Rational(*nd))
+    ),
+)
+
+
+@st.composite
+def homogeneous_expressions(draw, d, depth=3):
+    """(text, sympy expression) of a form of degree d in the parser grammar:
+    literals, monomials, sums, differences, products and powers."""
+    if d == 0:
+        kind = draw(st.sampled_from(["literal", "sum", "negate"] if depth else ["literal"]))
+    else:
+        kind = draw(
+            st.sampled_from(
+                ["monomial", "sum", "negate", "product", "power"] if depth else ["monomial"]
+            )
+        )
+    if kind == "literal":
+        return draw(literals)
+    if kind == "monomial":
+        i = draw(st.integers(0, d))
+        return f"x^{i}*y^{d - i}", X**i * Y ** (d - i)
+    if kind == "negate":
+        text, expr = draw(homogeneous_expressions(d, depth - 1))
+        return f"-({text})", -expr
+    if kind == "sum":
+        (ta, ea), (tb, eb) = (draw(homogeneous_expressions(d, depth - 1)) for _ in range(2))
+        op = draw(st.sampled_from(["+", "-"]))
+        return f"({ta}) {op} ({tb})", ea + eb if op == "+" else ea - eb
+    if kind == "product":
+        a = draw(st.integers(0, d))
+        (ta, ea), (tb, eb) = (
+            draw(homogeneous_expressions(k, depth - 1)) for k in (a, d - a)
+        )
+        return f"({ta})*({tb})", ea * eb
+    k = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+    text, expr = draw(homogeneous_expressions(d // k, depth - 1))
+    return f"({text})^{k}", expr**k
+
+
+class TestParser:
+    @PROPERTY
+    @given(st.integers(0, 12).flatmap(homogeneous_expressions))
+    @example(
+        (
+            "-8*(x + 7*y)^12 + 4*(x - 1*y)^12 - 3/7*(x - 9*y)^12",
+            -8 * (X + 7 * Y) ** 12 + 4 * (X - Y) ** 12 - sympy.Rational(3, 7) * (X - 9 * Y) ** 12,
+        )
+    )
+    def test_coefficients_equal_sympy_expansion(self, case):
+        text, expr = case
+        p = parse_form(text)
+        assert all(type(c) is F for c in p.coeffs)
+        poly = sympy.Poly(sympy.expand(expr), X, Y)
+        if poly.is_zero:
+            assert p.is_zero
+            return
+        d = p.degree
+        want = tuple(
+            F(int(c.p), int(c.q))
+            for c in (poly.coeff_monomial(X ** (d - j) * Y**j) for j in range(d + 1))
+        )
+        assert p.raw_coeffs() == want
+        assert poly.total_degree() == d
 
 
 class TestBoundedDivisors:
