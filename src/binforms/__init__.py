@@ -8,6 +8,7 @@ from .errors import (
     DegreeMismatchError,
     DimensionMismatchError,
     FormSyntaxError,
+    InputTooLargeError,
     InternalCheckError,
     NotHomogeneousError,
     NotIncomparableError,

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, decompose, verify, sweep, fixtures.
 
 Exit codes: 0 conclusive/pass, 1 error or mismatch, 2 invalid input
-(odd degree or zero form), 3 inconclusive within the given budgets.
+(odd degree, zero form, or past the parser's limits), 3 inconclusive within
+the given budgets; `main` maps the input errors to them in one place.
 Each subcommand takes only the flags it reads.  Flags are the only settings:
 no environment variable changes what the CLI does, so the argument parser is
 built once, on first use.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -28,6 +30,7 @@ from .engine import (
 )
 from .errors import (
     FormSyntaxError,
+    InputTooLargeError,
     NotHomogeneousError,
     OddDegreeError,
     ZeroFormError,
@@ -106,16 +109,8 @@ def _render_report_text(report: SignatureReport) -> List[str]:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        p = parse_form(args.form)
-    except (FormSyntaxError, NotHomogeneousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        report = signature_report(p, _config(args))
-    except (OddDegreeError, ZeroFormError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    p = parse_form(args.form)
+    report = signature_report(p, _config(args))
     if args.output == "json":
         _emit_json({"form": jsonio.form_to_json(p), "report": jsonio.report_to_json(report)})
     else:
@@ -126,19 +121,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        p = parse_form(args.form)
-    except (FormSyntaxError, NotHomogeneousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    p = parse_form(args.form)
     if p.is_zero:
-        print("invalid input: zero form", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        length = real_length(p, _config(args))
-    except (OddDegreeError, ZeroFormError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ZeroFormError("zero form")
+    length = real_length(p, _config(args))
     dec = length.witness
     if args.output == "json":
         _emit_json(
@@ -227,13 +213,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        family = parse_family(args.family)
-        grid = [parse_fraction(tok) for tok in args.grid.split(",") if tok.strip()]
-        limit = parse_fraction(args.limit) if args.limit is not None else None
-    except (FormSyntaxError, NotHomogeneousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    family = parse_family(args.family)
+    grid = [parse_fraction(tok) for tok in args.grid.split(",") if tok.strip()]
+    limit = parse_fraction(args.limit) if args.limit is not None else None
     if not grid:
         print("error: empty grid", file=sys.stderr)
         return EXIT_ERROR
@@ -346,7 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (FormSyntaxError, NotHomogeneousError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (InputTooLargeError, OddDegreeError, ZeroFormError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except BrokenPipeError:
+        # The reader left (`binforms ... | head`); devnull takes the rest.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ import functools
 import itertools
 import random
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,7 +39,6 @@ from .quadforms import (
     Inertia,
     _integer_rows,
     _primitive_ints,
-    _primitive_vector,
     catalecticant,
     charpoly_general,
     det_poly_matrix,
@@ -51,6 +50,9 @@ from .realroots import (
     RealAlgebraic,
     Scalar,
     UniPoly,
+    _int_homog_eval,
+    _int_neg_prem,
+    _int_prs,
     _int_sturm_chain,
     _int_sturm_count,
     deflate_rational_roots,
@@ -102,14 +104,23 @@ class ProjRootSet:
 @dataclass(frozen=True)
 class SylvesterForm:
     """Degree-r form with coefficient vector in the kernel of the r-Hankel
-    block, squarefree with all r projective roots real and distinct."""
+    block, squarefree with all r projective roots real and distinct.  `ell`
+    is its dehomogenization in t = x/y, with the Sturm chain validate_sylvester
+    built; the roots are isolated on first use."""
 
     r: int
     coeffs: Tuple[Fraction, ...]
-    roots: ProjRootSet
+    ell: UniPoly = field(repr=False, compare=False)
 
-    def dehomogenized(self) -> UniPoly:
-        return UniPoly([self.coeffs[self.r - i] for i in range(self.r + 1)])
+    @functools.cached_property
+    def roots(self) -> ProjRootSet:
+        finite: List[Scalar] = []
+        if self.ell.degree >= 1:
+            rats, cof = deflate_rational_roots(self.ell)
+            finite.extend(rats)
+            finite.extend(RealAlgebraic.isolate(cof))
+            finite.sort(key=functools.cmp_to_key(scalar_cmp))
+        return ProjRootSet(tuple(finite), self.r - self.ell.degree)
 
     def text(self) -> str:
         return monomial_text(self.coeffs)
@@ -157,14 +168,13 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
 
     A candidate is rejected on its primitive integer vector and the integer
     Sturm chain of its dehomogenization; only an accepted one becomes a
-    UniPoly.
+    UniPoly, and its roots are isolated only when asked for.
     """
     if len(coeffs) != r + 1:
         raise SylvesterRejectionError(
             SylvesterRejectionError.ZERO, f"need {r + 1} coefficients"
         )
-    if not all(isinstance(c, int) for c in coeffs):
-        coeffs = _integer_rows([coeffs])[0]
+    coeffs = _integer_rows([coeffs])[0]
     if not any(coeffs):
         raise SylvesterRejectionError(SylvesterRejectionError.ZERO, "zero vector")
     cs = _primitive_ints(coeffs)
@@ -175,23 +185,17 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
             f"y^{inf_mult} divides the candidate",
         )
     ell = list(reversed(cs[inf_mult:]))  # ascending in t = x/y
-    finite: List[Scalar] = []
-    if len(ell) > 1:
-        chain = _int_sturm_chain(ell)
-        if len(chain[-1]) > 1:
-            raise SylvesterRejectionError(
-                SylvesterRejectionError.NOT_SQUAREFREE, "repeated factor"
-            )
-        if _int_sturm_count(chain) < len(ell) - 1:
-            raise SylvesterRejectionError(
-                SylvesterRejectionError.COMPLEX_ROOTS, "not all roots are real"
-            )
-        rats, cof = deflate_rational_roots(UniPoly.from_sturm_chain(chain))
-        finite.extend(rats)
-        finite.extend(RealAlgebraic.isolate(cof))
-        finite.sort(key=functools.cmp_to_key(scalar_cmp))
+    chain = _int_sturm_chain(ell)
+    if len(chain[-1]) > 1:
+        raise SylvesterRejectionError(
+            SylvesterRejectionError.NOT_SQUAREFREE, "repeated factor"
+        )
+    if _int_sturm_count(chain) < len(ell) - 1:
+        raise SylvesterRejectionError(
+            SylvesterRejectionError.COMPLEX_ROOTS, "not all roots are real"
+        )
     return SylvesterForm(
-        r, tuple(Fraction(c) for c in cs), ProjRootSet(tuple(finite), inf_mult)
+        r, tuple(Fraction(c) for c in cs), UniPoly.from_sturm_chain(chain)
     )
 
 
@@ -210,9 +214,9 @@ def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
     The solution is verified exactly against every coefficient of p.
     """
     d = p.degree
-    ell = sylv.dehomogenized()
+    ell = sylv.ell
     m = ell.degree
-    has_inf = sylv.roots.infinity_mult > 0
+    has_inf = sylv.r > m
     a = p.coeffs
 
     if m > d + (0 if has_inf else 1):
@@ -230,11 +234,7 @@ def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
         return DecompResult(rep, rep.badge(), CERT_EXACT, sylv)
 
     e = ell.coeffs  # ascending, e[m] = leading
-    moments = [a[d - j] for j in range(m)]
-    n_coeffs = [
-        sum(moments[j] * e[u + 1 + j] for j in range(m - u)) for u in range(m)
-    ]
-    npoly = UniPoly(n_coeffs)
+    npoly = UniPoly(_numerator(a, e))
     ellp = ell.derivative()
 
     # power_sums[i] = sum_k lambda_k gamma_k^i, exactly, via the trace form:
@@ -296,6 +296,14 @@ def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
     if cert == CERT_EXACT and expand_exact(rep).coeffs != p.coeffs:
         raise InternalCheckError("exact solve must re-expand to p")
     return DecompResult(rep, rep.badge(), cert, sylv)
+
+
+def _numerator(a: Sequence, e: Sequence) -> list:
+    """Ascending coefficients of n(t) = sum_u (sum_j a_(d-j) e_(u+1+j)) t^u,
+    with lambda_k = n(gamma_k) / ell'(gamma_k) at the roots of ell = sum e_i
+    t^i, for the coefficients a_0..a_d of p (or a positive multiple)."""
+    d, m = len(a) - 1, len(e) - 1
+    return [sum(a[d - j] * e[u + 1 + j] for j in range(m - u)) for u in range(m)]
 
 
 def _term_order(s, t) -> int:
@@ -430,15 +438,12 @@ def decide_pencil(
     wits: List[SylvesterForm] = []
     seen = set()
     for vec in _pencil_samples(b1, b2, r):
-        vec = [Fraction(v) for v in vec]
-        if all(v == 0 for v in vec):
-            continue
-        key = _primitive_vector(vec)
-        if key in seen:
+        key = _primitive_ints(_integer_rows([vec])[0])
+        if not any(key) or key in seen:
             continue
         seen.add(key)
         try:
-            wits.append(validate_sylvester(vec, r))
+            wits.append(validate_sylvester(key, r))
         except SylvesterRejectionError:
             continue
         if first:
@@ -502,130 +507,57 @@ def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Structured and randomized searches for kernels of dimension >= 3
+# Root-pinning search for kernels of dimension >= 3
 # ---------------------------------------------------------------------------
 
 
-# Largest denominator of the rationals the searches draw.
-_DENOM_BOUND = 12
+# Pins p/q: p uniform in [-_PIN_NUM, _PIN_NUM] and q in [1, _PIN_DEN].
+_PIN_NUM = 20
+_PIN_DEN = 4
 
 
-# The grid of _structured_candidates: the first 200 rationals u = n/q in
-# lowest terms with |u| <= 6, as (n, q) by denominator, then magnitude, + first.
-_U_GRID = tuple(
-    itertools.islice(
-        (
-            (s * num, den)
-            for den in range(1, _DENOM_BOUND + 1)
-            for num in range(6 * den + 1)
-            for s in (1, -1)
-            if gcd(num, den) == 1 and (num or s == 1)
-        ),
-        200,
-    )
-)
-
-
-def _structured_candidates(p: BinaryForm, r: int, config: SearchConfig):
-    """Products of quadratics x^2 + (2+u) x y + y^2 (times one linear factor
-    when r is odd), with the final parameter solved exactly from the kernel.
-
-    Works over the integers: the Hankel rows are cleared of denominators,
-    u = n/q enters as q x^2 + (2q+n) x y + q y^2, and each candidate is an
-    integer vector, correct up to the scale validate_sylvester removes.
+def _pinned_candidates(basis, r: int, rng: random.Random):
+    """One attempt per draw of k-1 distinct rational pins from rng, for a
+    kernel basis b_1..b_k with k >= 3: the integer vector sum_j w_j b_j that
+    vanishes at every pin p/q, where w spans the kernel of the integer rows
+    (b_j(p/q) q^r)_j.  Yields (pins, vector), the vector None when that
+    kernel is not one-dimensional, so that the caller counts every attempt.
     """
-    if r < 2 or r > p.degree:
+    npins = len(basis) - 1
+    if not 2 <= npins <= 2 * _PIN_NUM + 1:  # past that, distinct draws could stall
         return
-    rows = _integer_rows(hankel(p, r).rows)
-    nquads = r // 2
-    if nquads < 1:
-        return
-    linears = [[1]] if r % 2 == 0 else [[1, 1], [1, -1], [1, 0], [0, 1]]
-    for lin in linears:
-        for n, q in _U_GRID:
-            fixed = lin
-            for _ in range(nquads - 1):
-                fixed = _conv(fixed, [q, 2 * q + n, q])
-            va = _conv(fixed, [1, 2, 1])
-            vb = [0, *fixed, 0]
-            ra = [sum(h * v for h, v in zip(row, va)) for row in rows]
-            rb = [sum(h * v for h, v in zip(row, vb)) for row in rows]
-            piv = next((i for i, v in enumerate(rb) if v), None)
-            if piv is None:
-                if not any(ra):
-                    for v in (0, 1, -3):
-                        yield [a + v * b for a, b in zip(va, vb)]
-                continue
-            if all(rb[piv] * a == ra[piv] * b for a, b in zip(ra, rb)):
-                yield [rb[piv] * a - ra[piv] * b for a, b in zip(va, vb)]
-
-
-def _combination_candidates(basis, config: SearchConfig, rng: random.Random):
-    """Small integer combinations by height, then seeded random rationals.
-
-    Works over the integers: the basis holds integer vectors (kernel_basis
-    returns them primitive) and rational weights are scaled by their common
-    denominator, so each candidate is the primitive integer vector of the
-    rational combination.
-    """
-    dim = len(basis)
-    columns = list(zip(*([int(v) for v in vec] for vec in basis)))
-    seen = set()
-
-    def emit(weights):
-        vec = [sum(w * b for w, b in zip(weights, col)) for col in columns]
-        if not any(vec):
-            return None
-        key = _primitive_ints(vec)
-        if key in seen:
-            return None
-        seen.add(key)
-        return list(key)
-
-    for height in range(1, 4):
-        for weights in itertools.product(range(-height, height + 1), repeat=dim):
-            if max(abs(w) for w in weights) != height:
-                continue
-            vec = emit(weights)
-            if vec is not None:
-                yield vec
+    ints = [[int(v) for v in vec] for vec in basis]
+    ascending = [vec[::-1] for vec in ints]  # in t = x/y
     while True:
-        weights = [
-            Fraction(rng.randint(-8, 8), rng.randint(1, _DENOM_BOUND))
-            for _ in range(dim)
-        ]
-        den = lcm(*(w.denominator for w in weights))
-        vec = emit([w.numerator * (den // w.denominator) for w in weights])
-        if vec is not None:
-            yield vec
+        pins: List[Fraction] = []
+        while len(pins) < npins:
+            pin = Fraction(rng.randint(-_PIN_NUM, _PIN_NUM), rng.randint(1, _PIN_DEN))
+            if pin not in pins:
+                pins.append(pin)
+        weights = kernel_basis(
+            [[_int_homog_eval(cs, a.numerator, a.denominator) for cs in ascending] for a in pins]
+        )
+        vec = None
+        if len(weights) == 1:
+            vec = [sum(int(w) * b for w, b in zip(weights[0], col)) for col in zip(*ints)]
+        yield pins, vec
 
 
 def _search_high_dim(
-    p: BinaryForm,
-    r: int,
-    basis,
-    config: SearchConfig,
-    rng: random.Random,
-    collect_all: bool = False,
+    r: int, basis, config: SearchConfig, rng: random.Random, collect_all: bool = False
 ):
-    """Budgeted search for valid Sylvester forms in a kernel of dim >= 3."""
+    """(found, exhausted) of a pinning search for valid Sylvester forms in a
+    kernel of dim >= 3; every pin attempt counts against the budget."""
     found: List[SylvesterForm] = []
-    tried = 0
-    for vec in itertools.chain(
-        _structured_candidates(p, r, config),
-        _combination_candidates(basis, config, rng),
-    ):
-        if tried >= config.search_budget:
-            return found, True
-        tried += 1
+    attempts = _pinned_candidates(basis, r, rng)
+    for _pins, vec in itertools.islice(attempts, config.search_budget):
+        if vec is None:
+            continue
         try:
-            sylv = validate_sylvester(vec, r)
+            found.append(validate_sylvester(vec, r))
         except SylvesterRejectionError:
             continue
-        found.append(sylv)
-        if not collect_all:
-            return found, False
-        if len(found) >= 12:
+        if not collect_all or len(found) >= 12:
             return found, False
     return found, True
 
@@ -666,7 +598,7 @@ def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthR
                 break
             excluded[r] = True
             continue
-        found, exhausted = _search_high_dim(p, r, basis, config, rng)
+        found, _ = _search_high_dim(r, basis, config, rng)
         if found:
             result = solve_coefficients(p, found[0])
             break
@@ -693,14 +625,15 @@ def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthR
 @dataclass(frozen=True)
 class BadgeSearchResult:
     badges: frozenset
-    decomps: Tuple[DecompResult, ...]
+    witnesses: Tuple[SylvesterForm, ...]
     exhausted: bool
 
 
 def badge_search(
     p: BinaryForm, r: int, config: SearchConfig = SearchConfig()
 ) -> BadgeSearchResult:
-    """Observed badges from validated Sylvester forms at degree r."""
+    """Observed badges from validated Sylvester forms at degree r, each read
+    off one Sturm-Tarski query (_tarski_badge) without solving for it."""
     if p.is_zero:
         raise ZeroFormError("badge search needs a nonzero form")
     d = p.degree
@@ -718,36 +651,66 @@ def badge_search(
             except SylvesterRejectionError:
                 pass
         elif dim == 2:
-            tried = 0
-            for vec in _structured_candidates(p, r, config):
-                if tried >= config.search_budget:
-                    break
-                tried += 1
-                try:
-                    wits.append(validate_sylvester(vec, r))
-                    break
-                except SylvesterRejectionError:
-                    continue
             wits.extend(decide_pencil(basis[0], basis[1], r))
         elif dim >= 3:
-            found, exhausted = _search_high_dim(
-                p, r, basis, config, rng, collect_all=True
-            )
+            found, exhausted = _search_high_dim(r, basis, config, rng, collect_all=True)
             wits.extend(found)
     badges = set()
-    decomps = []
+    witnesses = []
     odd_symmetric = mirror(p) == -p
-    seen = set()
     for sylv in wits:
-        if sylv.coeffs in seen:
+        if sylv in witnesses:
             continue
-        seen.add(sylv.coeffs)
-        dec = solve_coefficients(p, sylv)
-        decomps.append(dec)
-        badges.add(dec.badge)
+        witnesses.append(sylv)
+        badge = _tarski_badge(p, sylv)
+        badges.add(badge)
         if odd_symmetric:
-            badges.add(dec.badge.swapped())
-    return BadgeSearchResult(frozenset(badges), tuple(decomps), exhausted)
+            badges.add(badge.swapped())
+    return BadgeSearchResult(frozenset(badges), tuple(witnesses), exhausted)
+
+
+def _tarski_badge(p: BinaryForm, sylv: SylvesterForm) -> Badge:
+    """The badge of solve_coefficients(p, sylv), from one integer Sturm-Tarski
+    query; raises InternalCheckError unless sylv is in p's Hankel kernel.
+
+    The term of a finite root gamma of ell, lambda gamma^d (x + y/gamma)^d
+    or lambda y^d, has lambda = n(gamma)/ell'(gamma) and the sign of Q = n
+    ell' t^(d mod 2) at gamma.  TaQ(Q, ell), the sum of those signs, is the
+    Sturm count of the remainder sequence of ell and ell' (Q rem ell)
+    (Basu-Pollack-Roy, ch. 2); with z roots where Q = 0 (gcd(ell, n), and 0
+    for odd d, signed apart), (m - z +- TaQ)/2 are positive and negative.
+    For a witness y H, the term lambda x^d has lambda H_0 = sum_j a_j H_j.
+    """
+    d, r = p.degree, sylv.r
+    den = lcm(*(v.denominator for v in p.coeffs))
+    a = [v.numerator * (den // v.denominator) for v in p.coeffs]  # den * a_j
+    c = [int(v) for v in sylv.coeffs]
+    if any(sum(a[i + j] * c[j] for j in range(r + 1)) for i in range(d - r + 1)):
+        raise InternalCheckError("badge witness is not in the Hankel kernel")
+    e = sylv.ell._ints()
+    m = len(e) - 1
+    n = _numerator(a, e)  # empty when m = 0
+    while n and not n[-1]:
+        n.pop()
+    pos = neg = 0
+    signs = []
+    if n:  # else every finite lambda is 0
+        ellp = [i * v for i, v in enumerate(e)][1:]
+        zeros = len(_int_prs(e, n)[-1]) - 1
+        q = _conv(n, ellp)
+        if d % 2 == 1:
+            q = [0, *q]
+            if e[0] == 0 and n[0]:
+                signs.append(n[0] * e[1])
+                zeros += 1
+        rem = [-v for v in _int_neg_prem(q, e)]  # a positive multiple of Q rem ell
+        taq = _int_sturm_count(_int_prs(e, _conv(ellp, rem) if rem else []))
+        pos, neg = (m - zeros + taq) // 2, (m - zeros - taq) // 2
+    if r > m:
+        signs.append(sum(a[j] * c[j + 1] for j in range(m + 1)) * c[1])
+    pos += sum(1 for v in signs if v > 0)
+    neg += sum(1 for v in signs if v < 0)
+    return Badge(pos, neg)
 
 
 # ---------------------------------------------------------------------------

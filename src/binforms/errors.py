@@ -9,6 +9,10 @@ class FormSyntaxError(BinformsError):
     """Input text does not match the form grammar."""
 
 
+class InputTooLargeError(BinformsError):
+    """Input past a parser limit on degree, exponent or coefficient bits."""
+
+
 class NotHomogeneousError(BinformsError):
     """Parsed polynomial mixes total degrees."""
 

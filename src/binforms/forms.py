@@ -17,6 +17,7 @@ from typing import Sequence, Tuple, Union
 from .errors import (
     DegreeMismatchError,
     FormSyntaxError,
+    InputTooLargeError,
     NotHomogeneousError,
     PrecisionExhaustedError,
     SingularSubstitutionError,
@@ -305,6 +306,12 @@ class PowerSumRep:
 
 _TOKEN = re.compile(r"\s*(\d+|[xyt()+\-*^/])")
 
+# Input limits (README "Input limits").  The parser checks degrees and
+# exponents before it expands a product or power and coefficient bits after,
+# so hostile input such as (x+y)^5000 fails at once.
+MAX_DEGREE = 32  # total degree in x, y and t
+MAX_EXPONENT = 1024
+MAX_COEFF_BITS = 1024  # of each literal, product and power
 
 def _tokenize(text: str):
     pos, out = 0, []
@@ -366,7 +373,8 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = _poly_mul(acc, self.factor())
+            rhs = self.factor()
+            acc = _expanded(_degree(acc) + _degree(rhs), _poly_mul, acc, rhs)
         return acc
 
     def factor(self):
@@ -376,7 +384,10 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise FormSyntaxError("exponent must be a nonnegative integer")
-            return _poly_pow(base, int(tok))
+            n = _literal(tok)
+            if n > MAX_EXPONENT:
+                raise InputTooLargeError(f"exponent above the limit {MAX_EXPONENT}")
+            return _expanded(n * _degree(base), _poly_pow, base, n)
         return base
 
     def atom(self):
@@ -396,17 +407,40 @@ class _Parser:
                 raise FormSyntaxError("parameter t is not allowed here")
             return {(0, 0, 1): 1}
         if tok.isdigit():
-            num = int(tok)
+            num = _literal(tok)
             if self.peek() == "/":
                 self.take()
                 den = self.take()
                 if den is None or not den.isdigit() or int(den) == 0:
                     raise FormSyntaxError("denominator must be a positive integer")
-                value = Fraction(num, int(den))
+                value = Fraction(num, _literal(den))
             else:
                 value = num
             return {(0, 0, 0): value} if value != 0 else {}
         raise FormSyntaxError(f"unexpected token {tok!r}")
+
+
+def _literal(tok: str) -> int:
+    """A decimal literal of at most MAX_COEFF_BITS bits; n digits make more
+    than 3(n - 1) bits, so a long one is refused unconverted."""
+    if 3 * (len(tok.lstrip("0")) - 1) > MAX_COEFF_BITS or int(tok).bit_length() > MAX_COEFF_BITS:
+        raise InputTooLargeError(f"literal above the limit of {MAX_COEFF_BITS} bits")
+    return int(tok)
+
+
+def _degree(a) -> int:
+    return max((sum(key) for key in a), default=0)
+
+
+def _expanded(degree: int, expand, *args):
+    """expand(*args), a product or power of the given degree, within the limits."""
+    if degree > MAX_DEGREE:
+        raise InputTooLargeError(f"degree {degree} above the limit {MAX_DEGREE}")
+    out = expand(*args)
+    for v in out.values():
+        if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise InputTooLargeError(f"coefficient above the limit of {MAX_COEFF_BITS} bits")
+    return out
 
 
 def _poly_add(a, b):
@@ -436,9 +470,15 @@ def _poly_mul(a, b):
 
 
 def _poly_pow(a, n):
+    """a^n by repeated squaring: no square exceeds the result's degree, and
+    a constant's bits grow through log2(n) products instead of n."""
     out = {(0, 0, 0): 1}
-    for _ in range(n):
-        out = _poly_mul(out, a)
+    while n:
+        if n & 1:
+            out = _poly_mul(out, a)
+        n >>= 1
+        if n:
+            a = _poly_mul(a, a)
     return out
 
 

@@ -15,13 +15,13 @@ from .engine import (
     SylvesterForm,
 )
 from .errors import FormSyntaxError
-from .forms import Badge, BinaryForm, PowerSumRep, ProjLinearForm
+from .forms import MAX_DEGREE, Badge, BinaryForm, PowerSumRep, ProjLinearForm
 from .quadforms import Inertia
 from .realroots import Scalar, scalar_sign
 
 # Largest degree rep_from_json accepts, checked before anything of that size
-# is allocated; far above any degree the engine decides.
-MAX_REP_DEGREE = 10_000
+# is allocated: the parser's limit, since verify parses the form it compares.
+MAX_REP_DEGREE = MAX_DEGREE
 
 
 def fraction_str(q: Fraction) -> str:

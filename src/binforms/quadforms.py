@@ -222,28 +222,30 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
     # clear denominators rowwise so Bareiss divisions stay integral
     m = _integer_rows(rows)
     piv_cols, _ = _bareiss(m)
+    # The last pivot is +-det of the pivot columns' block: with it at the free
+    # column, Cramer's rule makes every back-substitution division exact.
+    scale = m[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else 1
     basis = []
     for fc in (c for c in range(ncols) if c not in piv_cols):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = scale
         for i in reversed(range(len(piv_cols))):
             pc = piv_cols[i]
-            s = sum(
-                (Fraction(m[i][j]) * vec[j] for j in range(pc + 1, ncols)),
-                Fraction(0),
-            )
-            vec[pc] = -s / Fraction(m[i][pc])
-        basis.append(_primitive_vector(vec))
+            s = sum(m[i][j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc], rem = divmod(-s, m[i][pc])
+            if rem:
+                raise InternalCheckError("kernel back-substitution must be exact")
+        basis.append(tuple(Fraction(v) for v in _primitive_ints(vec)))
     return basis
 
 
 def _integer_rows(rows) -> List[List[int]]:
-    """Each rational row times the lcm of its denominators; same kernel."""
+    """Each row of ints and Fractions times the lcm of its denominators;
+    same kernel."""
     out = []
     for row in rows:
-        row = [Fraction(v) for v in row]
         den = lcm(*(v.denominator for v in row))
-        out.append([int(v * den) for v in row])
+        out.append([v.numerator * (den // v.denominator) for v in row])
     return out
 
 
@@ -252,11 +254,6 @@ def _primitive_ints(ints) -> Tuple[int, ...]:
     if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return tuple(_int_primitive(ints))
-
-
-def _primitive_vector(vec) -> Tuple[Fraction, ...]:
-    den = lcm(*(v.denominator for v in vec))
-    return tuple(Fraction(v) for v in _primitive_ints([int(v * den) for v in vec]))
 
 
 def det_poly_matrix(entries: Sequence[Sequence[UniPoly]]) -> UniPoly:

@@ -155,7 +155,7 @@ def test_criterion_6_second_sextic_family():
         sylv = validate_sylvester(coeffs, 4)
         assert all(x == 0 for x in hankel(p, 4).apply(sylv.coeffs))
         found = badge_search(p, 4, CONFIG)
-        assert found.decomps, f"no valid quartic found at lam={lam}"
+        assert found.witnesses, f"no valid quartic found at lam={lam}"
         assert signature_report(p, CONFIG).signature_set() == {Badge(2, 2)}
     assert signature_report(cube_difference_family(0), CONFIG).signature_set() == {
         Badge(3, 3)

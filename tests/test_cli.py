@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -54,6 +55,13 @@ class TestAnalyze:
     def test_zero_form_exit2(self, capsys):
         code, _, err = run(capsys, "analyze", "x^2 - x^2")
         assert code == 2
+
+    @pytest.mark.parametrize("form", ["(x+y)^5000", "x^60 + 3*x^31*y^29 - y^60"])
+    def test_hostile_input_exit2_fast(self, capsys, form):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", form, "--output", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("invalid input:")
 
     def test_json_schema_and_determinism(self, capsys):
         code, out1, _ = run(capsys, "analyze", "6*x^5*y + 6*x*y^5", "--output", "json")
@@ -150,6 +158,26 @@ class TestSettingsFromArgvOnly:
         with_env = subprocess.run(argv, env=env, capture_output=True, check=True)
         assert plain.stdout.startswith(b"form: x^4 + y^4\n")
         assert with_env.stdout == plain.stdout
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_quietly(self):
+        """stdout is a pipe whose reader is already gone, as in `binforms
+        fixtures -o json | head -1` once head has exited."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "binforms", "fixtures", "-o", "json"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 REP_JSON = {

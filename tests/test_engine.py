@@ -371,6 +371,19 @@ class TestBadgeSearch:
         res = badge_search(cube_difference_family(F(1, 10)), 4, FAST)
         assert Badge(2, 2) in res.badges
 
+    def test_witnesses_are_distinct_kernel_forms(self):
+        p = sextic_xy_family(0)
+        res = badge_search(p, 5, FAST)
+        assert res.witnesses and len(set(res.witnesses)) == len(res.witnesses)
+        for w in res.witnesses:
+            assert not any(hankel(p, 5).apply(w.coeffs))
+
+    def test_witness_outside_the_kernel_raises(self, monkeypatch):
+        stray = validate_sylvester([1, 0, -5, 0, 4], 4)  # (x^2 - y^2)(x^2 - 4y^2)
+        monkeypatch.setattr(engine, "decide_pencil", lambda b1, b2, r: [stray])
+        with pytest.raises(InternalCheckError, match="Hankel kernel"):
+            badge_search(sextic_xy_family(0), 4, FAST)
+
 
 class TestCertificate:
     def test_quartic_difference(self):
@@ -636,179 +649,86 @@ class TestDecompResultInvariants:
                 assert got.badge == Badge(hp.pos, hp.neg)
 
 
-# Literals captured from the generators' rational implementation; the
-# integer generators must yield the same stream up to scale.
-QUINTIC_STRUCTURED = [
-    (1, -25, -80, -80, -25, 1),
-    (2, 43, 150, 150, 43, 2),
-    (4, -13, -30, -30, -13, 4),
-    (5, 67, 240, 240, 67, 5),
-    (1, -1, 0, 0, -1, 1),
-    (8, 97, 350, 350, 97, 8),
-    (10, -7, 10, 10, -7, 10),
-    (11, 133, 480, 480, 133, 11),
-    (1, -1, 0, 0, -1, 1),
-    (2, 25, 90, 90, 25, 2),
-    (16, -25, -30, -30, -25, 16),
-    (17, 223, 800, 800, 223, 17),
-    (19, -43, -80, -80, -43, 19),
-    (2, 133, 450, 450, 133, 2),
-    (10, -73, -210, -210, -73, 10),
-    (2, 31, 110, 110, 31, 2),
-    (22, -37, -50, -50, -37, 22),
-    (2, 25, 90, 90, 25, 2),
-    (34, -25, 30, 30, -25, 34),
-    (38, 457, 1650, 1650, 457, 38),
-]
-
-QUINTIC_COMBINATIONS = [
-    (4, 4, 10, 10, -1, -1),
-    (4, 3, 10, 10, -1, 0),
-    (4, 2, 10, 10, -1, 1),
-    (3, 4, 10, 10, 0, -1),
-    (3, 3, 10, 10, 0, 0),
-    (3, 2, 10, 10, 0, 1),
-    (2, 4, 10, 10, 1, -1),
-    (2, 3, 10, 10, 1, 0),
-    (2, 2, 10, 10, 1, 1),
-    (4, 1, 10, 0, -1, -1),
-    (4, 0, 10, 0, -1, 0),
-    (4, -1, 10, 0, -1, 1),
-    (3, 1, 10, 0, 0, -1),
-    (3, 0, 10, 0, 0, 0),
-    (3, -1, 10, 0, 0, 1),
-    (2, 1, 10, 0, 1, -1),
-    (2, 0, 10, 0, 1, 0),
-    (2, -1, 10, 0, 1, 1),
-    (4, -2, 10, -10, -1, -1),
-    (4, -3, 10, -10, -1, 0),
-]
-
-QUINTIC_RANDOM_COMBINATIONS = [
-    (399, 278, 1650, 1440, 96, 154),
-    (228, 31, 840, 90, 24, -4),
-    (95, -244, 400, -600, 25, 64),
-    (140, 187, 210, 440, -77, -55),
-    (108, 245, 400, 150, 12, -200),
-    (108, 35, 360, 90, 0, -8),
-    (22, 4, 60, -10, -4, -7),
-    (250, 891, 1200, 3300, 110, 99),
-    (58, 203, 140, 560, -16, -35),
-    (45, -244, -270, -840, -126, -8),
-]
-
-BASELINE8_STRUCTURED = [
-    (19, 40, -140, -616, -910, -616, -140, 40, 19),
-    (16, 61, 151, 238, 283, 238, 151, 61, 16),
-    (13, 328, 2740, 10072, 16462, 10072, 2740, 328, 13),
-    (9, 40, 36, 120, 54, 120, 36, 40, 9),
-    (4, 115, 1141, 4970, 9149, 4970, 1141, 115, 4),
-    (4, -101, 295, -574, 671, -574, 295, -101, 4),
-    (9, 184, 1404, 4872, 7542, 4872, 1404, 184, 9),
-    (1, -8, 28, -56, 70, -56, 28, -8, 1),
-    (52, 1285, 11905, 50062, 89905, 50062, 11905, 1285, 52),
-    (36, -335, 1215, -2274, 2655, -2274, 1215, -335, 36),
-    (47, 1304, 13436, 61768, 116890, 61768, 13436, 1304, 47),
-    (413, -4792, 19508, -32936, 27694, -32936, 19508, -4792, 413),
-    (608, -2920, -42268, -139510, -202627, -139510, -42268, -2920, 608),
-    (576, 2056, 3780, 4494, 4599, 4494, 3780, 2056, 576),
-    (512, 16232, 134852, 469606, 734131, 469606, 134852, 16232, 512),
-    (416, 1592, 3428, 5554, 6145, 5554, 3428, 1592, 416),
-    (288, 7160, 62820, 246498, 423225, 246498, 62820, 7160, 288),
-    (896, 8600, -10660, 33146, -24355, 33146, -10660, 8600, 896),
-    (64, 568, -1988, -31934, -85295, -31934, -1988, 568, 64),
-    (864, -7816, 26964, -52878, 65457, -52878, 26964, -7816, 864),
-]
-
-BASELINE8_COMBINATIONS = [
-    (26755, -74880, 13297, 4022, 2011, -4022, 2011),
-    (7911, -21108, 3048, 4022, 2011, -4022, 0),
-    (10933, -32664, 7201, -4022, -2011, 4022, 2011),
-    (19122, -53954, 12300, 4022, 2011, 0, 2011),
-    (278, -182, 2051, 4022, 2011, 0, 0),
-    (18566, -53590, 8198, -4022, -2011, 0, 2011),
-    (11489, -33028, 11303, 4022, 2011, 4022, 2011),
-    (7355, -20744, -1054, -4022, -2011, -4022, 0),
-    (26199, -74516, 9195, -4022, -2011, -4022, 2011),
-    (26512, -74012, 13725, 4022, 0, -4022, 2011),
-    (3834, -10120, 1738, 2011, 0, -2011, 0),
-    (11176, -33532, 6773, -4022, 0, 4022, 2011),
-    (18879, -53086, 12728, 4022, 0, 0, 2011),
-    (35, 686, 2479, 4022, 0, 0, 0),
-    (18809, -54458, 7770, -4022, 0, 0, 2011),
-    (11246, -32160, 11731, 4022, 0, 4022, 2011),
-    (3799, -10806, -741, -2011, 0, -2011, 0),
-    (26442, -75384, 8767, -4022, 0, -4022, 2011),
-    (26269, -73144, 14153, 4022, -2011, -4022, 2011),
-    (7425, -19372, 3904, 4022, -2011, -4022, 0),
-]
-
-BASELINE8_RANDOM_COMBINATIONS = [
-    (3593977, -10277982, 1326655, -663630, -289584, -386112, 309694),
-    (102689, -336948, -221452, -337848, -18099, -96528, -8044),
-    (1410021, -4044078, 556021, -160880, 120660, -100550, 128704),
-    (1635588, -4592548, 673691, 84462, 88484, -309694, 110605),
-    (3682249, -10488868, 2130576, 160880, 30165, 48264, 402200),
-    (154199, -413292, 167384, 144792, 18099, 0, 16088),
-    (162407, -455124, 91033, 24132, -2011, -16088, 14077),
-    (2620796, -7421168, 968081, -482640, -663630, -442420, 199089),
-    (795766, -2255840, 385405, 56308, 112616, -64352, 70385),
-    (1091153, -3012462, 176633, -108594, -168924, -506772, 16088),
-]
-
-
 BASELINE8_RAW = [1, 3, 4, -9, 5, -1, -2, 9, -6]  # ROADMAP Baseline, d = 8
 
 
-def _primitive_tuple(vec):
-    vec = [F(v) for v in vec]
-    den = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
-    g = math.gcd(*ints)
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+def _value_at(vec, pin):
+    """The degree-r form with coefficient vector vec (x^r first) at (pin, 1)."""
+    r = len(vec) - 1
+    return sum(c * pin ** (r - i) for i, c in enumerate(vec))
 
 
-class TestGeneratorStreams:
-    """The candidate streams are pinned: budgets, rejection counts and the
-    chosen witnesses all depend on their exact order."""
-
+class TestPinnedCandidates:
     QUINTIC = sextic_xy_family(F(-3, 10))  # the structured-quintic-valid fixture
     BASELINE8 = BinaryForm.from_raw(8, BASELINE8_RAW)
 
-    @pytest.mark.parametrize(
-        "form, r, want",
-        [("QUINTIC", 5, QUINTIC_STRUCTURED), ("BASELINE8", 8, BASELINE8_STRUCTURED)],
-    )
-    def test_structured(self, form, r, want):
-        p = getattr(self, form)
-        got = itertools.islice(engine._structured_candidates(p, r, SearchConfig()), 20)
-        got = [_primitive_tuple(v) for v in got]
-        assert got == want
-        self._assert_in_kernel(p, r, got)
-
-    @pytest.mark.parametrize(
-        "form, r, start, want",
-        [
-            ("QUINTIC", 5, 0, QUINTIC_COMBINATIONS),
-            ("QUINTIC", 5, 2400, QUINTIC_RANDOM_COMBINATIONS),
-            ("BASELINE8", 6, 0, BASELINE8_COMBINATIONS),
-            ("BASELINE8", 6, 2400, BASELINE8_RANDOM_COMBINATIONS),
-        ],
-    )
-    def test_combinations(self, form, r, start, want):
-        # from index 2400 on, a 4-dimensional kernel is past the height-3
-        # integer weights and into the seeded random rational ones
+    @pytest.mark.parametrize("form, r", [("QUINTIC", 5), ("BASELINE8", 6), ("BASELINE8", 8)])
+    def test_first_candidates_are_kernel_vectors_vanishing_at_their_pins(self, form, r):
         p = getattr(self, form)
         basis = kernel_basis(hankel(p, r))
-        stream = engine._combination_candidates(basis, SearchConfig(), random.Random(0))
-        got = itertools.islice(stream, start, start + len(want))
-        got = [_primitive_tuple(v) for v in got]
-        assert got == want
-        self._assert_in_kernel(p, r, got)
+        assert len(basis) >= 3
+        attempts = list(itertools.islice(engine._pinned_candidates(basis, r, random.Random(0)), 20))
+        assert len(attempts) == 20
+        assert sum(vec is not None for _, vec in attempts) >= 15
+        for pins, vec in attempts:
+            assert len(pins) == len(set(pins)) == len(basis) - 1
+            assert all(abs(pin.numerator) <= 20 and pin.denominator <= 4 for pin in pins)
+            if vec is None:
+                continue
+            assert all(type(c) is int for c in vec) and any(vec)
+            assert not any(hankel(p, r).apply(vec))
+            assert all(_value_at(vec, pin) == 0 for pin in pins)
 
-    @staticmethod
-    def _assert_in_kernel(p, r, vecs):
-        mat = hankel(p, r)
-        assert all(not any(mat.apply(v)) for v in vecs)
+    def test_stream_follows_the_seed(self):
+        basis = kernel_basis(hankel(self.BASELINE8, 8))
+
+        def stream(seed):
+            return list(itertools.islice(engine._pinned_candidates(basis, 8, random.Random(seed)), 5))
+
+        assert stream(3) == stream(3)
+        assert stream(3) != stream(4)
+
+    def test_needs_three_basis_vectors(self):
+        basis = kernel_basis(hankel(sextic_xy_family(0), 4))
+        assert len(basis) == 2
+        assert list(engine._pinned_candidates(basis, 4, random.Random(0))) == []
+
+    def test_every_attempt_counts_against_the_budget(self, monkeypatch):
+        """Attempts that yield no candidate spend the budget too."""
+        pulled = []
+
+        def empty_attempts(basis, r, rng):
+            for _ in range(100):
+                pulled.append(1)
+                yield [], None
+
+        monkeypatch.setattr(engine, "_pinned_candidates", empty_attempts)
+        found, exhausted = engine._search_high_dim(8, [], SearchConfig(search_budget=7), None)
+        assert (found, exhausted, len(pulled)) == ([], True, 7)
+
+
+def _baseline_recipe_forms(seed, degrees, per_degree):
+    """Lead randint(1, 9), the rest randint(-9, 9), from one seeded stream."""
+    rng = random.Random(seed)
+    return [
+        BinaryForm.from_raw(d, [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(d)])
+        for d in degrees
+        for _ in range(per_degree)
+    ]
+
+
+class TestLengthAtMostDegree:
+    """Every real binary form of degree d has real rank <= d (Causa-Re 2011);
+    pinning d-1 roots at r = d builds such a witness."""
+
+    def test_seeded_set_d5_to_d12(self):
+        forms = _baseline_recipe_forms(5, range(5, 13), 6)
+        assert len(forms) == 48
+        results = [real_length(p, SearchConfig(search_budget=200)) for p in forms]
+        assert all(res.upper <= p.degree for p, res in zip(forms, results))
+        assert sum(res.conclusive for res in results) >= 35
+
+    def test_hyperbolic_septic(self):
+        p = parse_form("x*(x^2-y^2)*(x^2-4*y^2)*(x^2-9*y^2)")
+        res = real_length(p, SearchConfig(search_budget=200))
+        assert res.upper == 7

@@ -9,6 +9,7 @@ from binforms import (
     Badge,
     BinaryForm,
     FormSyntaxError,
+    InputTooLargeError,
     NotHomogeneousError,
     PowerSumRep,
     ProjLinearForm,
@@ -84,6 +85,48 @@ class TestParse:
             raw = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)]
             p = BinaryForm.from_raw(d, raw)
             assert parse_form(p.text()) == p
+
+
+class TestInputLimits:
+    """Degree, exponent and coefficient size are refused before expansion."""
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("(x+y)^5000", "exponent"),
+            ("x^60 + 3*x^31*y^29 - y^60", "degree 60"),
+            ("x^20*y^20", "degree 40"),
+            ("(x^2 + y^2)^17", "degree 34"),
+            ("1^99999999999999999999999999*x^2", "exponent"),
+            ("2^1024*x^2", "1024 bits"),
+            ("(2^512*x + y)*(2^512*x - y)", "1024 bits"),
+            ("9" * 400 + "*x^2", "1024 bits"),
+            ("1/" + "7" * 400 + "*x^2", "1024 bits"),
+        ],
+        ids=[
+            "exponent-5000",
+            "degree-60",
+            "product-degree-40",
+            "power-degree-34",
+            "huge-exponent-of-one",
+            "power-bits",
+            "product-bits",
+            "literal-bits",
+            "denominator-bits",
+        ],
+    )
+    def test_past_a_limit(self, text, what):
+        with pytest.raises(InputTooLargeError, match=what):
+            parse_form(text)
+
+    def test_family_degree_counts_t(self):
+        with pytest.raises(InputTooLargeError, match="degree 33"):
+            parse_family("t^31*x^2 + y^2")
+
+    def test_at_the_limits(self):
+        assert parse_form(f"(x+y)^{forms.MAX_DEGREE}").degree == forms.MAX_DEGREE
+        assert parse_form("2^1023*x^2").coeffs[0] == 2**1023
+        assert parse_family("t^30*x^2 + y^2")(2) == parse_form(f"{2**30}*x^2 + y^2")
 
 
 class TestExpand:

@@ -1,6 +1,8 @@
 """Property tests against sympy.  Derandomized, so every run draws the same
 examples and a failure reproduces."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +11,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_eval_interval, pow_int_expansion, trial_divisors
 
-from binforms import BinaryForm, PowerSumRep, ProjLinearForm, expand_certified, parse_form
-from binforms import realroots
-from binforms.errors import PrecisionExhaustedError
+from binforms import (
+    BinaryForm,
+    PowerSumRep,
+    ProjLinearForm,
+    decide_pencil,
+    expand_certified,
+    expand_exact,
+    hankel,
+    kernel_basis,
+    parse_form,
+    solve_coefficients,
+    validate_sylvester,
+)
+from binforms import engine, realroots
+from binforms.errors import PrecisionExhaustedError, SylvesterRejectionError
 from binforms.engine import (
     _conv,
+    fallback_sylvester,
     is_power_of_linear,
     real_linear_factor_count,
     splits_over_reals,
@@ -360,3 +375,94 @@ class TestRationalRoots:
         cs = [c for c in f.primitive_int().coeffs if c]
         if abs(cs[0]) < 4097**2 and abs(cs[-1]) < 4097**2:
             assert got == want
+
+
+# Linear forms of the planted sums: slopes -3..3 and the y-axis.
+LINEAR_FORMS = [ProjLinearForm(F(1), F(b)) for b in range(-3, 4)] + [ProjLinearForm(F(0), F(1))]
+
+
+@st.composite
+def badge_forms(draw):
+    """A form of degree 3..9: random coefficients, some with the x^d or y^d
+    coefficient 0 (Sylvester forms with a root at infinity or at 0), or a
+    planted sum of few powers, whose longer witnesses carry zero lambdas."""
+    d = draw(st.integers(3, 9))
+    if draw(st.booleans()):
+        raw = [draw(st.integers(-9, 9)) for _ in range(d + 1)]
+        for end in draw(st.sets(st.sampled_from([0, d]), max_size=1)):
+            raw[end] = 0
+        if not any(raw):
+            raw[1] = 1
+        return BinaryForm.from_raw(d, raw)
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(-9, 9).filter(bool), st.integers(0, len(LINEAR_FORMS) - 1)),
+            min_size=1,
+            max_size=d // 2 + 1,
+            unique_by=lambda term: term[1],
+        )
+    )
+    return expand_exact(PowerSumRep(d, tuple((F(c), LINEAR_FORMS[k]) for c, k in terms)))
+
+
+def _badge_witnesses(p):
+    """The d+1 fallback, every valid form decide_pencil returns, and the
+    valid forms of 4 pinning attempts at every r with kernel dim >= 3."""
+    d = p.degree
+    yield fallback_sylvester(d)
+    rng = random.Random(0)
+    for r in range(1, d + 1):
+        basis = kernel_basis(hankel(p, r))
+        if len(basis) == 1:
+            vecs = [basis[0]]
+        elif len(basis) == 2:
+            yield from decide_pencil(basis[0], basis[1], r)
+            continue
+        else:
+            attempts = itertools.islice(engine._pinned_candidates(basis, r, rng), 4)
+            vecs = [vec for _, vec in attempts if vec is not None]
+        for vec in vecs:
+            try:
+                yield validate_sylvester(vec, r)
+            except SylvesterRejectionError:
+                pass
+
+
+def _check_tarski_badges(p):
+    """Every witness's Tarski badge equals its solved one; returns which of
+    (zero lambda, root at 0, root at infinity) the witnesses showed."""
+    seen = set()
+    for w in _badge_witnesses(p):
+        dec = solve_coefficients(p, w)
+        assert engine._tarski_badge(p, w) == dec.badge, w.coeffs
+        if dec.rep.length < len(w.roots.finite) + w.roots.infinity_mult:
+            seen.add("zero-lambda")
+        if F(0) in w.roots.finite:
+            seen.add("root-at-0")
+        if w.roots.infinity_mult:
+            seen.add("root-at-infinity")
+    return seen
+
+
+class TestTarskiBadge:
+    # Each form solves every witness exactly, so fewer examples than PROPERTY.
+    @settings(PROPERTY, max_examples=40)
+    @given(badge_forms())
+    @example(BinaryForm.from_raw(7, [0, 3, -1, 4, 0, 2, -5, 0]))
+    @example(parse_form("x^3 + y^3"))
+    def test_equals_solved_badge(self, p):
+        _check_tarski_badges(p)
+
+    def test_covers_zero_lambda_and_roots_at_zero_and_infinity(self):
+        """Odd and even degrees, both ends of the form zero, and a short
+        planted form, every case of the badge formula among them."""
+        forms = [
+            BinaryForm.from_raw(7, [0, 3, -1, 4, 0, 2, -5, 0]),
+            BinaryForm.from_raw(6, [0, 1, 4, -2, 3, 5, 0]),
+            parse_form("2*(x + y)^5 - 3*y^5"),
+            parse_form("(x - 2*y)^8 + 5*x^8"),
+        ]
+        seen = set()
+        for p in forms:
+            seen |= _check_tarski_badges(p)
+        assert seen == {"zero-lambda", "root-at-0", "root-at-infinity"}
