@@ -75,7 +75,6 @@ from .engine import (
     signature_report,
     solve_coefficients,
     sweep,
-    sylvester_candidates,
     validate_sylvester,
     vandermonde_rep,
 )

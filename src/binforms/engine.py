@@ -12,7 +12,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRepresentationError,
@@ -145,22 +145,8 @@ class LengthResult:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester candidates and validation
+# Sylvester form validation
 # ---------------------------------------------------------------------------
-
-
-def sylvester_candidates(p: BinaryForm, r: int) -> List[Tuple[Fraction, ...]]:
-    """Kernel basis of the r-Hankel block; r = d+1 is unconstrained by
-    convention and returns the standard basis."""
-    d = p.degree
-    if r == d + 1:
-        basis = []
-        for i in range(d + 2):
-            vec = [Fraction(0)] * (d + 2)
-            vec[i] = Fraction(1)
-            basis.append(tuple(vec))
-        return basis
-    return kernel_basis(hankel(p, r))
 
 
 def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
@@ -507,7 +493,7 @@ def _resultant_t(f: List[UniPoly], g: List[UniPoly]) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Root-pinning search for kernels of dimension >= 3
+# Kernel witnesses, by root pinning for kernels of dimension >= 3
 # ---------------------------------------------------------------------------
 
 
@@ -543,23 +529,33 @@ def _pinned_candidates(basis, r: int, rng: random.Random):
         yield pins, vec
 
 
-def _search_high_dim(
-    r: int, basis, config: SearchConfig, rng: random.Random, collect_all: bool = False
-):
-    """(found, exhausted) of a pinning search for valid Sylvester forms in a
-    kernel of dim >= 3; every pin attempt counts against the budget."""
+def _kernel_witnesses(basis, r: int, budget: int, rng: random.Random, limit: int):
+    """(witnesses, decided): valid Sylvester forms in span(basis) at degree r.
+
+    A kernel of dimension 0 or 1 is decided by validating its one vector, a
+    pencil by decide_pencil, which stops at its first witness when limit is
+    1; an empty list then proves that none exists.  A larger kernel is
+    searched by pinning roots until limit witnesses are found, every attempt
+    counting against budget, and is never decided.
+    """
+    if len(basis) <= 1:
+        try:
+            return [validate_sylvester(vec, r) for vec in basis], True
+        except SylvesterRejectionError:
+            return [], True
+    if len(basis) == 2:
+        return decide_pencil(basis[0], basis[1], r, first=limit == 1), True
     found: List[SylvesterForm] = []
-    attempts = _pinned_candidates(basis, r, rng)
-    for _pins, vec in itertools.islice(attempts, config.search_budget):
+    for _pins, vec in itertools.islice(_pinned_candidates(basis, r, rng), budget):
         if vec is None:
             continue
         try:
             found.append(validate_sylvester(vec, r))
         except SylvesterRejectionError:
             continue
-        if not collect_all or len(found) >= 12:
-            return found, False
-    return found, True
+        if len(found) >= limit:
+            break
+    return found, False
 
 
 # ---------------------------------------------------------------------------
@@ -568,53 +564,28 @@ def _search_high_dim(
 
 
 def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthResult:
-    """Iterate r = 1, 2, ...; kernel dimensions 0 and 1 and pencils are decided
-    conclusively, larger kernels are searched within the budget.  Always
-    returns an achieved upper bound (the spanning fallback at r = d+1)."""
+    """Iterate r = 1, 2, ... up to the first r whose kernel holds a witness
+    (_kernel_witnesses, one rng across r); past d the spanning fallback
+    always achieves an upper bound.  lower is the run of decided r's from 1,
+    and the result is conclusive when that run reaches upper - 1."""
     if p.is_zero:
         raise ZeroFormError("length of the zero form is undefined")
-    d = p.degree
     rng = random.Random(config.seed)
-    excluded: Dict[int, bool] = {}
+    lower = 0
     result: Optional[DecompResult] = None
-    for r in range(1, d + 1):
+    for r in range(1, p.degree + 1):
         basis = kernel_basis(hankel(p, r))
-        dim = len(basis)
-        if dim == 0:
-            excluded[r] = True
-            continue
-        if dim == 1:
-            try:
-                sylv = validate_sylvester(basis[0], r)
-            except SylvesterRejectionError:
-                excluded[r] = True
-                continue
-            result = solve_coefficients(p, sylv)
+        wits, decided = _kernel_witnesses(basis, r, config.search_budget, rng, 1)
+        if wits:
+            result = solve_coefficients(p, wits[0])
             break
-        if dim == 2:
-            wits = decide_pencil(basis[0], basis[1], r, first=True)
-            if wits:
-                result = solve_coefficients(p, wits[0])
-                break
-            excluded[r] = True
-            continue
-        found, _ = _search_high_dim(r, basis, config, rng)
-        if found:
-            result = solve_coefficients(p, found[0])
-            break
-        excluded[r] = False
+        if decided and lower == r - 1:
+            lower = r
     if result is None:
         result = vandermonde_rep(p)
     upper = result.rep.length
-    conclusive = all(excluded.get(rr) is True for rr in range(1, upper))
-    if conclusive:
-        lower = upper - 1
-    else:
-        lower = 0
-        while excluded.get(lower + 1) is True:
-            lower += 1
-        lower = min(lower, upper - 1)
-    return LengthResult(lower, upper, conclusive, result)
+    lower = min(lower, upper - 1)
+    return LengthResult(lower, upper, lower == upper - 1, result)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +593,14 @@ def real_length(p: BinaryForm, config: SearchConfig = SearchConfig()) -> LengthR
 # ---------------------------------------------------------------------------
 
 
+# badge_search keeps at most this many witnesses of a kernel of dim >= 3.
+BADGE_WITNESS_CAP = 12
+
+
 @dataclass(frozen=True)
 class BadgeSearchResult:
     badges: frozenset
     witnesses: Tuple[SylvesterForm, ...]
-    exhausted: bool
 
 
 def badge_search(
@@ -636,25 +610,12 @@ def badge_search(
     off one Sturm-Tarski query (_tarski_badge) without solving for it."""
     if p.is_zero:
         raise ZeroFormError("badge search needs a nonzero form")
-    d = p.degree
-    rng = random.Random(config.seed)
-    wits: List[SylvesterForm] = []
-    exhausted = False
-    if r == d + 1:
-        wits.append(fallback_sylvester(d))
+    if r == p.degree + 1:
+        wits = [fallback_sylvester(p.degree)]
     else:
         basis = kernel_basis(hankel(p, r))
-        dim = len(basis)
-        if dim == 1:
-            try:
-                wits.append(validate_sylvester(basis[0], r))
-            except SylvesterRejectionError:
-                pass
-        elif dim == 2:
-            wits.extend(decide_pencil(basis[0], basis[1], r))
-        elif dim >= 3:
-            found, exhausted = _search_high_dim(r, basis, config, rng, collect_all=True)
-            wits.extend(found)
+        rng = random.Random(config.seed)
+        wits, _ = _kernel_witnesses(basis, r, config.search_budget, rng, BADGE_WITNESS_CAP)
     badges = set()
     witnesses = []
     odd_symmetric = mirror(p) == -p
@@ -666,7 +627,7 @@ def badge_search(
         badges.add(badge)
         if odd_symmetric:
             badges.add(badge.swapped())
-    return BadgeSearchResult(frozenset(badges), tuple(witnesses), exhausted)
+    return BadgeSearchResult(frozenset(badges), tuple(witnesses))
 
 
 def _tarski_badge(p: BinaryForm, sylv: SylvesterForm) -> Badge:

@@ -496,13 +496,16 @@ def deflate_rational_roots(f: UniPoly):
     """Split f into (rational roots of the squarefree part, cofactor with no rational roots)."""
     g = f.squarefree_part()
     roots = rational_roots(g)
-    if not roots:
+    if not roots and g.degree != 1:
         return roots, g
     # By Gauss's lemma each quotient of the primitive g by the primitive
     # q*t - p is primitive with integer coefficients and the sign of g.
     cs = g._ints()
     for r in roots:
         cs = _int_exact_div(cs, [-r.numerator, r.denominator])
+    if len(cs) == 2:  # a root past rational_roots' divisor bound
+        roots = sorted([*roots, Fraction(-cs[0], cs[1])])
+        cs = [1 if cs[1] > 0 else -1]
     return roots, UniPoly(cs)
 
 

@@ -40,7 +40,6 @@ from binforms import (
     signature_report,
     solve_coefficients,
     sweep,
-    sylvester_candidates,
     validate_sylvester,
     vandermonde_rep,
 )
@@ -133,21 +132,17 @@ def _conv(a, b):
 
 class TestCandidates:
     def test_xy_candidate(self):
-        assert sylvester_candidates(parse_form("x^4 + y^4"), 2) == [(0, 1, 0)]
+        assert kernel_basis(hankel(parse_form("x^4 + y^4"), 2)) == [(0, 1, 0)]
 
     def test_family_r3_empty(self):
         q2 = parse_form("6*x^5*y + 40*x^3*y^3 + 6*x*y^5")
-        assert sylvester_candidates(q2, 3) == []
+        assert kernel_basis(hankel(q2, 3)) == []
 
     def test_sextic_kernel_dim4(self):
         q0 = parse_form("6*x^5*y + 6*x*y^5")
-        basis = sylvester_candidates(q0, 5)
+        basis = kernel_basis(hankel(q0, 5))
         assert len(basis) == 4
         assert all(v[0] + v[4] == 0 and v[1] + v[5] == 0 for v in basis)
-
-    def test_unconstrained_convention(self):
-        basis = sylvester_candidates(parse_form("x^4 + y^4"), 5)
-        assert len(basis) == 6
 
 
 class TestSolve:
@@ -358,6 +353,10 @@ class TestPencilProjection:
         assert len(chains) == 1
 
 
+# The pinned-witness octic of the golden decompose-pinned-d8.
+PINNED_OCTIC = "8*x^8 - 6*x^7*y + 5*x^6*y^2 - 5*x^4*y^4 - 7*x^3*y^5 + 8*x^2*y^6 - 8*x*y^7 + 3*y^8"
+
+
 class TestBadgeSearch:
     def test_diagonal_quartic(self):
         res = badge_search(parse_form("x^4 + y^4"), 2, FAST)
@@ -380,9 +379,14 @@ class TestBadgeSearch:
 
     def test_witness_outside_the_kernel_raises(self, monkeypatch):
         stray = validate_sylvester([1, 0, -5, 0, 4], 4)  # (x^2 - y^2)(x^2 - 4y^2)
-        monkeypatch.setattr(engine, "decide_pencil", lambda b1, b2, r: [stray])
+        monkeypatch.setattr(engine, "decide_pencil", lambda b1, b2, r, first: [stray])
         with pytest.raises(InternalCheckError, match="Hankel kernel"):
             badge_search(sextic_xy_family(0), 4, FAST)
+
+    def test_pinned_octic_sextics(self):
+        """Kernel dim 4 at r = 6: the pinning search finds both badges."""
+        octic = parse_form(PINNED_OCTIC)
+        assert badge_search(octic, 6).badges == {Badge(3, 3), Badge(4, 2)}
 
 
 class TestCertificate:
@@ -703,8 +707,8 @@ class TestPinnedCandidates:
                 yield [], None
 
         monkeypatch.setattr(engine, "_pinned_candidates", empty_attempts)
-        found, exhausted = engine._search_high_dim(8, [], SearchConfig(search_budget=7), None)
-        assert (found, exhausted, len(pulled)) == ([], True, 7)
+        got = engine._kernel_witnesses([[0]] * 3, 8, 7, None, 1)
+        assert (got, len(pulled)) == (([], False), 7)
 
 
 def _baseline_recipe_forms(seed, degrees, per_degree):
@@ -732,3 +736,6 @@ class TestLengthAtMostDegree:
         p = parse_form("x*(x^2-y^2)*(x^2-4*y^2)*(x^2-9*y^2)")
         res = real_length(p, SearchConfig(search_budget=200))
         assert res.upper == 7
+        # One witness root, -114881200/159967611, is past rational_roots'
+        # divisor bound; deflation still finds it, so the witness is exact.
+        assert res.witness.certification == "exact"

@@ -1,7 +1,8 @@
 """Byte-for-byte JSON and text output of a few fast CLI calls, one per
 output path: an exact and a certified decomposition, the degree-8 and
-degree-12 reference pencils of the benchmark corpus, an analysis, a
-verification and a fixture.
+degree-12 reference pencils of the benchmark corpus, a degree-8 form whose
+witness comes from the pinned search (kernel dims 0, 2 and 4), an
+analysis, a verification and a fixture.
 A change that alters any byte of these must say why and regenerate the
 goldens with
 
@@ -30,6 +31,10 @@ CASES = {
         "decompose",
         "-8*(x + 7*y)^12 + 4*(x - 1*y)^12 + 2*(x - 8*y)^12 - 4*(x - 9*y)^12"
         " - 3*(x + 9*y)^12 + 2*(x + 2*y)^12 - 6*(x - 3*y)^12",
+    ],
+    "decompose-pinned-d8": [
+        "decompose",
+        "8*x^8 - 6*x^7*y + 5*x^6*y^2 - 5*x^4*y^4 - 7*x^3*y^5 + 8*x^2*y^6 - 8*x*y^7 + 3*y^8",
     ],
     "analyze-sextic-family": ["analyze", "6*x^5*y - 4*x^3*y^3 + 6*x*y^5"],
     "verify-readme": ["verify", str(GOLDEN / "verify-rep.json"), "24*y^4"],

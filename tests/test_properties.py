@@ -141,6 +141,17 @@ class TestDeflation:
         assert roots == rational_roots(f.squarefree_part())
         assert cofactor == _fraction_deflation(f)
         assert not rational_roots(cofactor)
+        assert cofactor.degree != 1
+
+    def test_linear_cofactor_past_the_divisor_bound(self):
+        """rational_roots misses a root whose numerator divides a_0 only with
+        a cofactor past the trial-division cap; as the last linear factor it
+        still joins the roots."""
+        big = F(-114881200, 159967611)
+        f = UniPoly([-3000, 1]) * UniPoly([-3001, 1]) * UniPoly([-big, 1])
+        assert rational_roots(f) == [F(3000), F(3001)]
+        roots, cofactor = deflate_rational_roots(f)
+        assert roots == [big, F(3000), F(3001)] and cofactor.degree == 0
 
 
 wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
