@@ -40,7 +40,6 @@ from .realroots import (
     RatInterval,
     RealAlgebraic,
     UniPoly,
-    sign_at,
 )
 from .quadforms import (
     HankelMatrix,

@@ -63,11 +63,19 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _nonnegative_int(text: str) -> int:
+    """An integer >= 0; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _search_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that search for decompositions."""
     p.add_argument(
         "--search-budget",
-        type=int,
+        type=_nonnegative_int,
         default=SearchConfig.search_budget,
         help="candidate budget per representation degree",
     )

@@ -11,7 +11,6 @@ import random
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -56,7 +55,6 @@ from .realroots import (
     _int_sturm_chain,
     _int_sturm_count,
     deflate_rational_roots,
-    scalar_cmp,
     scalar_sign,
     simplest_between,
 )
@@ -92,6 +90,10 @@ class SearchConfig:
     search_budget: int = 10_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.search_budget < 0:
+            raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
+
 
 @dataclass(frozen=True)
 class ProjRootSet:
@@ -109,7 +111,7 @@ class SylvesterForm:
     built; the roots are isolated on first use."""
 
     r: int
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Tuple[int, ...]
     ell: UniPoly = field(repr=False, compare=False)
 
     @functools.cached_property
@@ -119,7 +121,7 @@ class SylvesterForm:
             rats, cof = deflate_rational_roots(self.ell)
             finite.extend(rats)
             finite.extend(RealAlgebraic.isolate(cof))
-            finite.sort(key=functools.cmp_to_key(scalar_cmp))
+            finite.sort()
         return ProjRootSet(tuple(finite), self.r - self.ell.degree)
 
     def text(self) -> str:
@@ -180,9 +182,7 @@ def validate_sylvester(coeffs: Sequence, r: int) -> SylvesterForm:
         raise SylvesterRejectionError(
             SylvesterRejectionError.COMPLEX_ROOTS, "not all roots are real"
         )
-    return SylvesterForm(
-        r, tuple(Fraction(c) for c in cs), UniPoly.from_sturm_chain(chain)
-    )
+    return SylvesterForm(r, cs, UniPoly.from_sturm_chain(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def solve_coefficients(p: BinaryForm, sylv: SylvesterForm) -> DecompResult:
     if has_inf and lam_inf != 0:
         terms.append((lam_inf, ProjLinearForm(Fraction(1), Fraction(0))))
 
-    terms.sort(key=functools.cmp_to_key(_term_order))
+    terms.sort(key=_term_key)
     rep = PowerSumRep(d, tuple(terms))
     cert = CERT_INTERVALS if alg_present else CERT_EXACT
     if cert == CERT_EXACT and expand_exact(rep).coeffs != p.coeffs:
@@ -292,23 +292,15 @@ def _numerator(a: Sequence, e: Sequence) -> list:
     return [sum(a[d - j] * e[u + 1 + j] for j in range(m - u)) for u in range(m)]
 
 
-def _term_order(s, t) -> int:
+def _term_key(term):
     """Rational betas descending, the y-axis last; algebraic betas sit at the
     place of beta = 0, descending among themselves and around a rational 0."""
-    ks, kt = _term_key(s), _term_key(t)
-    if ks[:2] != kt[:2]:
-        return -1 if ks[:2] < kt[:2] else 1
-    return scalar_cmp(kt[2], ks[2])
-
-
-def _term_key(term):
     form = term[1]
     if form.is_y_axis:
-        return (1, Fraction(0), Fraction(0))
-    beta = form.beta
-    if isinstance(beta, Fraction):
-        return (0, -beta, Fraction(0))
-    return (0, Fraction(0), beta)
+        return (1, 0, 0)
+    if isinstance(form.beta, Fraction):
+        return (0, -form.beta, 0)
+    return (0, 0, -form.beta)
 
 
 def _mod_inverse(a: UniPoly, mod: UniPoly) -> UniPoly:
@@ -411,25 +403,28 @@ def _conv(a, b):
 
 
 def decide_pencil(
-    b1: Sequence[Fraction], b2: Sequence[Fraction], r: int, *, first: bool = False
+    b1: Sequence[int], b2: Sequence[int], r: int, *, first: bool = False
 ) -> List[SylvesterForm]:
-    """All validity regions of the pencil span{b1, b2} at degree r.
+    """All validity regions of the pencil span{b1, b2} at degree r; b1 and
+    b2 must be independent.
 
-    Between real roots of the discriminant-style resultant and of the leading
-    coefficient, validity is constant, so finitely many exact rational samples
-    decide the whole pencil.  An empty result proves no valid form exists.
-    With first=True the samples stop at the first valid one, so the result
-    holds at most the full result's first element.
+    Between real roots of the discriminant-style resultant g and of the
+    leading coefficient, validity is constant, so finitely many exact
+    rational samples decide the whole pencil.  An empty result proves no
+    valid form exists.  With first=True the samples stop at the first valid
+    one, so the result holds at most the full result's first element.
+
+    No member tried is zero or proportional to another, so no witness
+    repeats.  The samples u strictly increase and lie outside every
+    isolating interval of the roots of g.  The degree-drop point u*, the
+    root of the leading t-coefficient lead, is a root of g, because lead
+    divides the resultant.  b2 is u = oo.  Distinct parameters give
+    non-proportional members of an independent pair.
     """
     wits: List[SylvesterForm] = []
-    seen = set()
     for vec in _pencil_samples(b1, b2, r):
-        key = _primitive_ints(_integer_rows([vec])[0])
-        if not any(key) or key in seen:
-            continue
-        seen.add(key)
         try:
-            wits.append(validate_sylvester(key, r))
+            wits.append(validate_sylvester(vec, r))
         except SylvesterRejectionError:
             continue
         if first:
@@ -438,8 +433,9 @@ def decide_pencil(
 
 
 def _pencil_samples(b1, b2, r):
-    """One vector b1 + u b2 per sign-invariant region of u, then b2."""
-    cs = [UniPoly([Fraction(b1[j]), Fraction(b2[j])]) for j in range(r + 1)]
+    """One member q b1 + p b2, the vector b1 + u b2 times q, per
+    sign-invariant region of u = p/q, then b2."""
+    cs = [UniPoly([b1[j], b2[j]]) for j in range(r + 1)]
     tcoeffs = [cs[r - i] for i in range(r + 1)]
     while tcoeffs and tcoeffs[-1].is_zero:
         tcoeffs.pop()
@@ -473,7 +469,7 @@ def _pencil_samples(b1, b2, r):
                 last = roots[-1].hi
                 samples.append(Fraction(last.numerator // last.denominator + 1))
         for u in itertools.chain(samples, specials):
-            yield [Fraction(b1[j]) + u * Fraction(b2[j]) for j in range(r + 1)]
+            yield [u.denominator * a + u.numerator * b for a, b in zip(b1, b2)]
     yield list(b2)
 
 
@@ -512,8 +508,7 @@ def _pinned_candidates(basis, r: int, rng: random.Random):
     npins = len(basis) - 1
     if not 2 <= npins <= 2 * _PIN_NUM + 1:  # past that, distinct draws could stall
         return
-    ints = [[int(v) for v in vec] for vec in basis]
-    ascending = [vec[::-1] for vec in ints]  # in t = x/y
+    ascending = [vec[::-1] for vec in basis]  # in t = x/y
     while True:
         pins: List[Fraction] = []
         while len(pins) < npins:
@@ -525,7 +520,7 @@ def _pinned_candidates(basis, r: int, rng: random.Random):
         )
         vec = None
         if len(weights) == 1:
-            vec = [sum(int(w) * b for w, b in zip(weights[0], col)) for col in zip(*ints)]
+            vec = [sum(w * b for w, b in zip(weights[0], col)) for col in zip(*basis)]
         yield pins, vec
 
 
@@ -643,9 +638,8 @@ def _tarski_badge(p: BinaryForm, sylv: SylvesterForm) -> Badge:
     For a witness y H, the term lambda x^d has lambda H_0 = sum_j a_j H_j.
     """
     d, r = p.degree, sylv.r
-    den = lcm(*(v.denominator for v in p.coeffs))
-    a = [v.numerator * (den // v.denominator) for v in p.coeffs]  # den * a_j
-    c = [int(v) for v in sylv.coeffs]
+    a = _integer_rows([p.coeffs])[0]  # a positive multiple of p's coefficients
+    c = sylv.coeffs
     if any(sum(a[i + j] * c[j] for j in range(r + 1)) for i in range(d - r + 1)):
         raise InternalCheckError("badge witness is not in the Hankel kernel")
     e = sylv.ell._ints()
@@ -745,9 +739,7 @@ def sign_change_certificate(
         expansion = expand_exact(rep)
     if expansion.is_zero:
         raise DegenerateRepresentationError("expansion vanishes identically")
-    ordered = sorted(
-        rep.terms, key=functools.cmp_to_key(lambda s, t: s[1].slope_cmp(t[1]))
-    )
+    ordered = sorted(rep.terms, key=lambda term: term[1].slope_key())
     signs = [scalar_sign(lam) for lam, _ in ordered]
     if any(s == 0 for s in signs):
         raise DegenerateRepresentationError("zero coefficient in representation")

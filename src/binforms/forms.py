@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .errors import (
     DegreeMismatchError,
@@ -27,10 +27,7 @@ from .realroots import (
     RatInterval,
     RealAlgebraic,
     Scalar,
-    scalar_cmp,
-    scalar_eq,
     scalar_interval,
-    scalar_neg,
     scalar_sign,
 )
 
@@ -119,15 +116,13 @@ class ProjLinearForm:
             return NotImplemented
         if self.is_y_axis or other.is_y_axis:
             return self.is_y_axis and other.is_y_axis
-        return scalar_eq(self.beta, other.beta)
+        return self.beta == other.beta
 
-    def slope_cmp(self, other: "ProjLinearForm") -> int:
-        """Order by slope -beta/alpha ascending, with (0:1) sorted last."""
+    def slope_key(self):
+        """Sort key: slope -beta/alpha ascending, with (0:1) sorted last."""
         if self.is_y_axis:
-            return 0 if other.is_y_axis else 1
-        if other.is_y_axis:
-            return -1
-        return scalar_cmp(scalar_neg(self.beta), scalar_neg(other.beta))
+            return (1, 0)
+        return (0, -self.beta)
 
     def text(self) -> str:
         if self.is_y_axis:
@@ -292,7 +287,7 @@ class PowerSumRep:
         used = [False] * len(other.terms)
         for lam, f in self.terms:
             for k, (mu, g) in enumerate(other.terms):
-                if not used[k] and f == g and scalar_eq(lam, mu):
+                if not used[k] and f == g and lam == mu:
                     used[k] = True
                     break
             else:
@@ -688,9 +683,5 @@ def mirror_badge(rep: PowerSumRep) -> PowerSumRep:
     For an odd-symmetric form (p(x,-y) = -p(x,y)) this yields another
     representation of p itself with the badge components swapped.
     """
-    terms = []
-    for lam, form in rep.terms:
-        terms.append(
-            (scalar_neg(lam), ProjLinearForm(form.alpha, scalar_neg(form.beta)))
-        )
+    terms = [(-lam, ProjLinearForm(form.alpha, -form.beta)) for lam, form in rep.terms]
     return PowerSumRep(rep.degree, tuple(terms))

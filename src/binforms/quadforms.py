@@ -204,11 +204,12 @@ def _bareiss(m: List[list]) -> Tuple[List[int], int]:
     return piv_cols, parity
 
 
-def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
+def kernel_basis(rows_or_matrix) -> List[Tuple[int, ...]]:
     """Exact right-kernel basis via fraction-free (Bareiss) elimination.
 
     Accepts a HankelMatrix, SymMatrix, or a plain sequence of rows; returns
-    primitive integer vectors with positive leading entry, one per free column.
+    primitive integer tuples, first nonzero entry positive, one per free
+    column.
     """
     if isinstance(rows_or_matrix, HankelMatrix):
         rows = rows_or_matrix.rows
@@ -235,7 +236,7 @@ def kernel_basis(rows_or_matrix) -> List[Tuple[Fraction, ...]]:
             vec[pc], rem = divmod(-s, m[i][pc])
             if rem:
                 raise InternalCheckError("kernel back-substitution must be exact")
-        basis.append(tuple(Fraction(v) for v in _primitive_ints(vec)))
+        basis.append(_primitive_ints(vec))
     return basis
 
 

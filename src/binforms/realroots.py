@@ -255,44 +255,25 @@ class UniPoly:
         """t**deg * f(1/t); drops roots at zero."""
         return UniPoly(list(reversed(self.coeffs)))
 
-    def sturm_chain(self):
-        """Sturm chain of f, f', ..., content-stripped each step.
-
-        The last entry is gcd(f, f') up to a constant, so f is squarefree iff
-        that entry is a constant.  Either way the chain counts the distinct
-        real roots.  Built once as a primitive integer remainder sequence;
-        every entry is the primitive integer form of the rational Sturm
-        remainder.
-        """
-        if self.is_zero:
-            return []
-        return [UniPoly(g) for g in self._int_chain()]
-
     def count_real_roots(
         self, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None
     ) -> int:
-        """Distinct real roots on the whole line or the closed interval [lo, hi].
+        """Distinct real roots on the whole line, or on the closed interval
+        [lo, hi] when both bounds are given; one bound alone is a ValueError.
 
-        On the Sturm chain of the squarefree part, V(a) - V(b) counts the
-        roots in (a, b], so a root at lo is added on its own.
+        On the Sturm chain of the squarefree part, V(lo) - V(hi) counts the
+        roots in (lo, hi], so a root at lo is added on its own.
         """
         if self.is_zero:
             raise ZeroPolynomialError("root counting needs a nonzero polynomial")
         if lo is None and hi is None:
             return _int_sturm_count(self._int_chain())
+        if lo is None or hi is None:
+            raise ValueError("count_real_roots takes both bounds or neither")
         g = self.squarefree_part()
         chain = g._int_chain()
-        if lo is None:
-            n = _variations_at_infinity(chain, -1)
-        else:
-            n = _variations_at(chain, lo)
-            if g.sign_at_rational(lo) == 0:
-                n += 1
-        if hi is None:
-            n -= _variations_at_infinity(chain, 1)
-        else:
-            n -= _variations_at(chain, hi)
-        return n
+        n = _variations_at(chain, lo) - _variations_at(chain, hi)
+        return n + (g.sign_at_rational(lo) == 0)
 
 
 # Marks a polynomial as its own squarefree part (UniPoly._sqf) without a
@@ -320,11 +301,6 @@ def _variations_at_infinity(chain, side: int) -> int:
 
 def _int_sturm_count(chain) -> int:
     return _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
-
-
-def sturm_count(chain) -> int:
-    """Distinct real roots of chain[0] read off its Sturm chain: V(-oo) - V(+oo)."""
-    return _int_sturm_count([g.coeffs for g in chain])
 
 
 def _int_primitive(cs):
@@ -734,47 +710,16 @@ class RealAlgebraic:
         return f"RealAlgebraic(~{float(mid):.6g}, deg {self.defining.degree})"
 
 
-def _sgn(v: Fraction) -> int:
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def sign_at(g: UniPoly, x: Scalar) -> int:
-    """Exact sign of g(x) for rational or real algebraic x."""
-    if isinstance(x, (int, Fraction)):
-        return _sgn(g(_rat(x)))
-    return x.sign_of_poly(g)
-
-
 def scalar_sign(x: Scalar) -> int:
     if isinstance(x, (int, Fraction)):
-        return _sgn(_rat(x))
+        return (x > 0) - (x < 0)
     return x.sign()
-
-
-def scalar_cmp(a: Scalar, b: Scalar) -> int:
-    """Total order on mixed rational / algebraic values."""
-    if isinstance(a, RealAlgebraic):
-        return a.cmp(b)
-    if isinstance(b, RealAlgebraic):
-        return -b.cmp(a)
-    a, b = _rat(a), _rat(b)
-    return _sgn(a - b)
-
-
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    return scalar_cmp(a, b) == 0
 
 
 def scalar_interval(x: Scalar) -> RatInterval:
     if isinstance(x, (int, Fraction)):
         return RatInterval.point(_rat(x))
     return x.interval()
-
-
-def scalar_neg(x: Scalar) -> Scalar:
-    if isinstance(x, (int, Fraction)):
-        return -_rat(x)
-    return -x
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:

@@ -408,6 +408,14 @@ class TestFixtures:
 
 
 class TestInconclusive:
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        # decompose reaches the pinned kernel search of this form, where the
+        # budget is spent; analyze of it never does
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "x^5*y", "--search-budget", "-1"])
+        assert exc.value.code == 2
+        assert "--search-budget" in capsys.readouterr().err
+
     def test_budget_zero_exit3(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "6*x^5*y + 6*x*y^5", "--search-budget", "0"

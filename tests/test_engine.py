@@ -309,6 +309,23 @@ def _witness_key(w):
 
 PLANTED = [(d, seed) for d in range(6, 17) for seed in (0, 1)]
 
+# Pencils whose members must be pairwise non-proportional: planted ones,
+# the excluded sextic_xy_family(0) quartics, and the pencil of the
+# mirror-symmetric sextic p(x, -y) = p(x, y), whose members at u and -u are
+# mirror images.
+PENCILS = {
+    **{
+        f"planted-{d}-{seed}": (lambda d=d, seed=seed: _planted_pencil(d, seed))
+        for d in range(6, 13)
+        for seed in (0, 1)
+    },
+    "sextic-family-0": lambda: (kernel_basis(hankel(sextic_xy_family(0), 4)), 4),
+    "mirror-symmetric": lambda: (
+        kernel_basis(hankel(parse_form("(x+y)^6 + (x-y)^6 - 2*(x+3*y)^6 - 2*(x-3*y)^6"), 4)),
+        4,
+    ),
+}
+
 
 class TestPencilProjection:
     @pytest.mark.parametrize("d, seed", PLANTED)
@@ -328,6 +345,16 @@ class TestPencilProjection:
         first = decide_pencil(b1, b2, r, first=True)
         assert full and len(first) == 1
         assert _witness_key(first[0]) == _witness_key(full[0])
+
+    @pytest.mark.parametrize("name", sorted(PENCILS))
+    def test_members_distinct_so_no_witness_repeats(self, name):
+        (b1, b2), r = PENCILS[name]()
+        members = list(engine._pencil_samples(b1, b2, r))
+        assert all(any(vec) for vec in members)
+        for v, w in itertools.combinations(members, 2):
+            assert any(v[i] * w[j] != v[j] * w[i] for i in range(r + 1) for j in range(i))
+        wits = decide_pencil(b1, b2, r)
+        assert len({w.coeffs for w in wits}) == len(wits)
 
     def test_first_witness_of_an_empty_pencil(self):
         basis = kernel_basis(hankel(sextic_xy_family(0), 4))
@@ -696,6 +723,10 @@ class TestPinnedCandidates:
         basis = kernel_basis(hankel(sextic_xy_family(0), 4))
         assert len(basis) == 2
         assert list(engine._pinned_candidates(basis, 4, random.Random(0))) == []
+
+    def test_negative_budget_refused(self):
+        with pytest.raises(ValueError, match="search_budget"):
+            SearchConfig(search_budget=-1)
 
     def test_every_attempt_counts_against_the_budget(self, monkeypatch):
         """Attempts that yield no candidate spend the budget too."""

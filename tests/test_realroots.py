@@ -13,9 +13,6 @@ from binforms.realroots import (
     UniPoly,
     deflate_rational_roots,
     rational_roots,
-    sign_at,
-    scalar_cmp,
-    sturm_count,
 )
 
 T = sympy.Symbol("t")
@@ -122,7 +119,7 @@ class TestCounting:
             f = f * UniPoly([rng.randint(1, 5), 0, 1])  # no real roots
             assert f.count_real_roots() == len(distinct)
             g = f.gcd(f.derivative())
-            assert f.sturm_chain()[-1].monic() == g
+            assert UniPoly(f._int_chain()[-1]).monic() == g
 
     def test_against_sympy(self):
         rng = random.Random(17)
@@ -160,12 +157,18 @@ class TestCounting:
                 lo, hi = None, rng.choice([rat(), rng.choice(roots)])
             else:
                 lo, hi = rng.choice([rat(), rng.choice(roots)]), None
-            sp = sympy.Poly(to_sympy(f), T)
-            want = sp.count_roots(
-                None if lo is None else sympy.Rational(lo),
-                None if hi is None else sympy.Rational(hi),
-            )
+            if lo is None or hi is None:  # one bound alone is refused
+                with pytest.raises(ValueError):
+                    f.count_real_roots(lo, hi)
+                continue
+            want = sympy.Poly(to_sympy(f), T).count_roots(sympy.Rational(lo), sympy.Rational(hi))
             assert f.count_real_roots(lo, hi) == want, (f, lo, hi)
+
+    def test_one_bound_raises(self):
+        f = UniPoly([-2, 0, 1])
+        for lo, hi in ((F(0), None), (None, F(2))):
+            with pytest.raises(ValueError, match="both bounds or neither"):
+                f.count_real_roots(lo, hi)
 
     def test_chain_built_once(self, monkeypatch):
         calls = []
@@ -227,25 +230,27 @@ def _seeded_integer_polys(count=200):
 class TestIntegerSturmChain:
     def test_against_sympy(self):
         for f in _seeded_integer_polys():
-            chain = f.sturm_chain()
+            chain = f._int_chain()
             sp = sympy.Poly(to_sympy(f), T)
-            assert sturm_count(chain) == sp.sqf_part().count_roots()
-            assert (chain[-1].degree == 0) == sp.is_sqf
+            assert f.count_real_roots() == sp.sqf_part().count_roots()
+            assert (len(chain[-1]) == 1) == sp.is_sqf
 
     def test_entries_primitive_and_equal_to_rational_recurrence(self):
+        """Each integer entry is the primitive form of its rational Sturm
+        remainder: a positive factor of it with content 1."""
         for f in _seeded_integer_polys():
-            chain = f.sturm_chain()
+            chain = f._int_chain()
             want = _rational_sturm_chain(f)
-            assert [g.leading > 0 for g in chain] == [g.leading > 0 for g in want]
-            assert chain == want
+            assert [g[-1] > 0 for g in chain] == [w.leading > 0 for w in want]
+            assert [UniPoly(g) for g in chain] == want
             for g in chain:
-                assert all(c.denominator == 1 for c in g.coeffs)
-                assert math.gcd(*(int(c) for c in g.coeffs)) == 1
+                assert all(type(c) is int for c in g) and math.gcd(*g) == 1
 
     def test_edge_cases(self):
-        assert UniPoly().sturm_chain() == []
-        assert UniPoly([-6]).sturm_chain() == [UniPoly([-1])]
-        assert UniPoly([4, -6]).sturm_chain() == [UniPoly([2, -3]), UniPoly([-1])]
+        with pytest.raises(ZeroPolynomialError):
+            UniPoly().count_real_roots()
+        assert UniPoly([-6])._int_chain() == [[-1]]
+        assert UniPoly([4, -6])._int_chain() == [[2, -3], [-1]]
 
 
 class TestIsolation:
@@ -297,20 +302,20 @@ class TestIsolation:
 class TestSignAt:
     def test_shared_root(self):
         root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
-        assert sign_at(UniPoly([-2, 0, 1]), root2) == 0
+        assert root2.sign_of_poly(UniPoly([-2, 0, 1])) == 0
 
     def test_positive(self):
         root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
-        assert sign_at(UniPoly([0, 1]), root2) == 1
+        assert root2.sign_of_poly(UniPoly([0, 1])) == 1
 
     def test_cube(self):
         root2 = RealAlgebraic.isolate(UniPoly([-2, 0, 1]))[1]
-        assert sign_at(UniPoly([-2, 0, 0, 1]), root2) == 1
-        assert sign_at(UniPoly([-2, 0, 0, -1]), root2) == -1
+        assert root2.sign_of_poly(UniPoly([-2, 0, 0, 1])) == 1
+        assert root2.sign_of_poly(UniPoly([-2, 0, 0, -1])) == -1
 
     def test_rational_point(self):
-        assert sign_at(UniPoly([-2, 1]), F(3)) == 1
-        assert sign_at(UniPoly([-2, 1]), F(2)) == 0
+        assert UniPoly([-2, 1]).sign_at_rational(F(3)) == 1
+        assert UniPoly([-2, 1]).sign_at_rational(F(2)) == 0
 
 
 class TestComparison:
@@ -328,9 +333,11 @@ class TestComparison:
 
     def test_mixed_scalar_cmp(self):
         root2 = RealAlgebraic(UniPoly([-2, 0, 1]), F(1), F(2))
-        assert scalar_cmp(F(1), root2) < 0
-        assert scalar_cmp(root2, F(1)) > 0
-        assert scalar_cmp(F(2), F(2)) == 0
+        assert F(1) < root2 and not F(1) > root2 and F(1) != root2
+        assert root2 > F(1) and root2 < F(2) and 1 < root2 < 2
+        assert F(3, 2) > root2 and root2 != F(3, 2)
+        assert F(2) == F(2)
+        assert sorted([F(3, 2), root2, F(1)]) == [F(1), root2, F(3, 2)]
 
     def test_comparisons_stable_under_refinement(self):
         a = RealAlgebraic(UniPoly([-2, 0, 1]), F(1), F(2))
@@ -350,12 +357,12 @@ class TestAlgebraicArithmetic:
         half = root2.reciprocal()
         assert half.sign() == 1
         # 1/sqrt(2) squared is 1/2
-        assert sign_at(UniPoly([F(-1, 2), 0, 1]), half) == 0
+        assert half.sign_of_poly(UniPoly([F(-1, 2), 0, 1])) == 0
 
     def test_scaled(self):
         root2 = RealAlgebraic(UniPoly([-2, 0, 1]), F(1), F(2))
         threeroot2 = root2.scaled(F(3))
-        assert sign_at(UniPoly([-18, 0, 1]), threeroot2) == 0
+        assert threeroot2.sign_of_poly(UniPoly([-18, 0, 1])) == 0
 
     def test_sign_of_zero(self):
         zero_root = RealAlgebraic.isolate(UniPoly([0, -1, 0, 1]))[1]
